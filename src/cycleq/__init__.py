@@ -3,7 +3,7 @@
 Two permutations alpha and beta of {1..n} are equivalent when some powers of
 a fixed full cycle sigma connect them, sigma^k * alpha == beta * sigma^l.
 This package computes the number of such classes exactly for any n, builds
-the divisor graph that drives the recursion, solves and enumerates the
+the divisor graph that organizes the recursion, solves and enumerates the
 underlying equations constructively, and cross-checks everything for small n
 with a brute-force pass over the whole group.
 """

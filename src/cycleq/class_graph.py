@@ -8,8 +8,11 @@ multiplies both coordinates by a prime divisor p of n while k*p still
 divides n, reducing the second coordinate into {1..n} (zero written as n).
 
 A directed path of length at least one is the strict order the counting
-recursion sums over; reachability is precomputed for every vertex at build
-time, so order queries and the tau counts are dictionary lookups.
+recursion sums over. Each arc multiplies both coordinates by a prime, so a
+path from <r,l> ends exactly at the vertices <k, l*(k/r) mod n> with r a
+proper divisor of k; precedes and tau use that arithmetic and never walk the
+graph. The graph itself is for export and verification; counting does not
+build it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .zn_ring import prime_factors, residue
+from .counting import _tau
+from .zn_ring import prime_factors, residue, totient
 
 __all__ = [
     "GammaGraph",
@@ -45,8 +49,6 @@ class GammaGraph:
     n: int
     vertices: frozenset[Vertex]
     arcs: frozenset[tuple[Vertex, Vertex]]
-    # reach[v] = every vertex strictly reachable from v (v itself excluded)
-    reach: dict[Vertex, frozenset[Vertex]]
 
 
 def build_gamma(n: int) -> GammaGraph:
@@ -55,7 +57,7 @@ def build_gamma(n: int) -> GammaGraph:
         raise ValueError(f"n must be positive, got {n}")
     if n == 1:
         v = Vertex(1, 1)
-        return GammaGraph(1, frozenset([v]), frozenset(), {v: frozenset()})
+        return GammaGraph(1, frozenset([v]), frozenset())
 
     primes = prime_factors(n)
     seeds = [Vertex(1, l) for l in range(1, n) if gcd(l, n) == 1]
@@ -73,24 +75,7 @@ def build_gamma(n: int) -> GammaGraph:
                 vertices.add(w)
                 work.append(w)
             arcs.add((v, w))
-    return GammaGraph(n, frozenset(vertices), frozenset(arcs),
-                      _strict_reachability(vertices, arcs))
-
-
-def _strict_reachability(vertices, arcs):
-    succ = {v: [] for v in vertices}
-    for a, b in arcs:
-        succ[a].append(b)
-    # arcs multiply the first coordinate by a prime, so descending k is a
-    # topological order and one pass suffices
-    reach: dict[Vertex, frozenset[Vertex]] = {}
-    for v in sorted(vertices, key=lambda u: u.k, reverse=True):
-        acc: set[Vertex] = set()
-        for w in succ[v]:
-            acc.add(w)
-            acc |= reach[w]
-        reach[v] = frozenset(acc)
-    return reach
+    return GammaGraph(n, frozenset(vertices), frozenset(arcs))
 
 
 def precedes(g: GammaGraph, a: Vertex, b: Vertex) -> bool:
@@ -99,7 +84,7 @@ def precedes(g: GammaGraph, a: Vertex, b: Vertex) -> bool:
         raise ValueError(f"{a} is not a vertex of the graph for n={g.n}")
     if b not in g.vertices:
         raise ValueError(f"{b} is not a vertex of the graph for n={g.n}")
-    return b in g.reach[a]
+    return a.k < b.k and b.k % a.k == 0 and residue(a.l * (b.k // a.k), g.n) == b.l
 
 
 def tau(g: GammaGraph, k: int, r: int) -> int:
@@ -108,9 +93,7 @@ def tau(g: GammaGraph, k: int, r: int) -> int:
         raise ValueError(f"k={k} does not divide n={g.n}")
     if r >= k or k % r:
         raise ValueError(f"r={r} must be a proper divisor of k={k}")
-    anchor = Vertex(k, k)
-    assert anchor in g.vertices  # holds for every divisor k of n by construction
-    return sum(1 for v in g.vertices if v.k == r and anchor in g.reach[v])
+    return _tau({d: totient(g.n // d) for d in (r, k)}, k, r)
 
 
 def export_dot(g: GammaGraph) -> str:

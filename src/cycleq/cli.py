@@ -37,6 +37,7 @@ from .oracle import (
     sigma_independence_check,
 )
 from .permutation import one_line
+from .zn_ring import to_decimal
 
 __all__ = ["CliConfig", "main"]
 
@@ -145,14 +146,14 @@ def _config(ns: argparse.Namespace) -> CliConfig:
 
 
 def cmd_compute(cfg: CliConfig) -> tuple[int, str]:
-    total = q_count(cfg.n)
+    total = to_decimal(q_count(cfg.n))
     if cfg.fmt == "json":
         return EXIT_OK, f'{{"n": {cfg.n}, "classes": "{total}"}}\n'
     return EXIT_OK, f"{total}\n"
 
 
 def cmd_table(cfg: CliConfig) -> tuple[int, str]:
-    rows = [(n, str(q_count(n))) for n in range(cfg.n_from, cfg.n_to + 1)]
+    rows = [(n, to_decimal(q_count(n))) for n in range(cfg.n_from, cfg.n_to + 1)]
     if cfg.fmt == "csv":
         lines = ["n,classes"] + [f"{n},{c}" for n, c in rows]
         return EXIT_OK, "\n".join(lines) + "\n"
@@ -181,7 +182,10 @@ def cmd_graph(cfg: CliConfig) -> tuple[int, str]:
 
 
 def cmd_solve(cfg: CliConfig) -> tuple[int, str]:
-    inst = EquationInstance(cfg.n, cfg.k, cfg.l)
+    try:
+        inst = EquationInstance(cfg.n, cfg.k, cfg.l)
+    except ValueError as e:  # exponents outside 1..n
+        raise UsageError(str(e)) from e
     solutions = enumerate_solutions(inst)
     if cfg.fmt == "json":
         body = ", ".join(str(list(s.images)) for s in solutions)
@@ -261,15 +265,18 @@ def main(argv: list[str] | None = None) -> int:
     except BoundExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except InexactDivision as e:
+    except (InexactDivision, RuntimeError) as e:
+        # a remainder in the recursion or a constructed solution that fails
+        # its own equation: a bug in cycleq, not in the request
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -4,9 +4,10 @@ For k dividing n, p_count(n, k) = k! * (n/k)**k is the number of solutions
 of the shift equation with left exponent k, h_count(n, k) is the number of
 equivalence classes attached to any single graph vertex with first
 coordinate k, and q_count(n) sums h over the divisors weighted by how many
-vertices carry each divisor. Divisions in the recursion must come out exact;
-a remainder means a bug upstream and raises InexactDivision rather than
-rounding anything over.
+vertices carry each divisor. The recursion needs only divisors, totients and
+the closed form of tau, never the graph itself. Divisions in the recursion
+must come out exact; a remainder means a bug upstream and raises
+InexactDivision rather than rounding anything over.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
-from .class_graph import GammaGraph, build_gamma, tau
-from .zn_ring import divisors, is_prime, totient
+from .zn_ring import divisors, is_prime, to_decimal, totient
 
 __all__ = [
     "Column",
@@ -51,32 +51,46 @@ def p_count(n: int, k: int) -> int:
     return factorial(k) * (n // k) ** k
 
 
-def _h_values(n: int, g: GammaGraph, ks: list[int]) -> dict[int, int]:
+def _exact_div(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator; a remainder raises instead of rounding."""
+    q, rem = divmod(numerator, denominator)
+    if rem:
+        raise InexactDivision(
+            f"{what}: division by {denominator} leaves remainder {rem}")
+    return q
+
+
+def _tau(phi: dict[int, int], k: int, r: int) -> int:
+    """tau(k, r) = phi(n/r) / phi(n/k), where phi[d] = totient(n // d).
+
+    <r,l> precedes <k,l'> exactly when l * (k/r) == l' (mod n). Writing
+    l = r*u and l' = k*v, that says u == v (mod n/k): reduction from the
+    units mod n/r onto the units mod n/k, whose fibres all have the same
+    size, so every vertex with first coordinate k has the same number of
+    r-predecessors.
+    """
+    return _exact_div(phi[r], phi[k], f"tau({k},{r})")
+
+
+def _h_values(n: int, ks: list[int]) -> dict[int, int]:
     """h for every k in ks (ascending and closed under divisors), shared memo."""
+    phi = {k: totient(n // k) for k in ks}
     memo: dict[int, int] = {}
     for k in ks:
         if k == 1:
             memo[1] = 1
             continue
-        lower = sum(r * tau(g, k, r) * memo[r] for r in divisors(k)[:-1])
+        lower = sum(r * _tau(phi, k, r) * memo[r] for r in divisors(k)[:-1])
         numerator = factorial(k - 1) * (n // k) ** (k - 1) - lower
-        q, rem = divmod(numerator, k)
-        if rem:
-            raise InexactDivision(
-                f"h({n},{k}) = {numerator}/{k} leaves remainder {rem}")
-        memo[k] = q
+        memo[k] = _exact_div(numerator, k, f"h({n},{k})")
     return memo
 
 
-def h_count(n: int, k: int, g: GammaGraph | None = None) -> int:
+def h_count(n: int, k: int) -> int:
     """Classes attached to one graph vertex with first coordinate k."""
     if n < 1 or k < 1 or n % k:
         raise ValueError(f"k={k} must be a divisor of n={n}")
-    if g is None:
-        g = build_gamma(n)
-    elif g.n != n:
-        raise ValueError(f"graph is for n={g.n}, not n={n}")
-    return _h_values(n, g, divisors(k))[k]
+    return _h_values(n, divisors(k))[k]
 
 
 class Column(NamedTuple):
@@ -98,9 +112,9 @@ class CountTable:
         labels = ("k|n", "phi(n/k)", "h(n,k)", "phi*h")
         rows = [
             [str(c.k) for c in self.columns],
-            [str(c.phi) for c in self.columns],
-            [str(c.h) for c in self.columns],
-            [str(c.product) for c in self.columns],
+            [to_decimal(c.phi) for c in self.columns],
+            [to_decimal(c.h) for c in self.columns],
+            [to_decimal(c.product) for c in self.columns],
         ]
         label_w = max(len(s) for s in labels)
         widths = [max(len(rows[r][j]) for r in range(4))
@@ -110,7 +124,7 @@ class CountTable:
             "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
             for label, row in zip(labels, rows)
         ]
-        lines.append(f"|Q_{self.n}| = {self.total}")
+        lines.append(f"|Q_{self.n}| = {to_decimal(self.total)}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -118,22 +132,21 @@ class CountTable:
         doc = {
             "n": self.n,
             "columns": [
-                {"k": c.k, "phi": str(c.phi), "h": str(c.h),
-                 "product": str(c.product)}
+                {"k": c.k, "phi": to_decimal(c.phi), "h": to_decimal(c.h),
+                 "product": to_decimal(c.product)}
                 for c in self.columns
             ],
-            "total": str(self.total),
+            "total": to_decimal(self.total),
         }
         return json.dumps(doc)
 
 
 def count_table(n: int) -> CountTable:
-    """The full tally for n: one column per divisor, graph built once."""
+    """The full tally for n: one column per divisor."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    g = build_gamma(n)
     ks = divisors(n)
-    h = _h_values(n, g, ks)
+    h = _h_values(n, ks)
     cols = []
     for k in ks:
         phi = totient(n // k)
@@ -168,12 +181,8 @@ def q_prime(n: int) -> int:
     """
     if not is_prime(n):
         raise NotPrime(f"{n} is not prime")
-    numerator = factorial(n - 1) + (n - 1) ** 2
-    q, rem = divmod(numerator, n)
-    if rem:
-        raise InexactDivision(
-            f"({n-1})! + ({n-1})^2 = {numerator} not divisible by {n}")
-    return q
+    return _exact_div(factorial(n - 1) + (n - 1) ** 2, n,
+                      f"({n-1})! + ({n-1})^2")
 
 
 def wilson_check(n: int) -> bool:

@@ -19,6 +19,7 @@ from math import factorial
 
 from .equation_solver import min_left_exponent
 from .permutation import Permutation, canonical_sigma, compose, inverse, is_full_cycle, power
+from .zn_ring import to_decimal
 
 __all__ = [
     "BoundExceeded",
@@ -69,7 +70,7 @@ class ClassReport:
         doc = {
             "n": self.n,
             "sigma": list(self.sigma.images),
-            "class_count": str(self.class_count),
+            "class_count": to_decimal(self.class_count),
             "size_histogram": {str(s): c for s, c in sorted(self.size_histogram.items())},
         }
         if self.per_class is not None:

@@ -4,7 +4,8 @@ Everything downstream indexes residues by values in the window {1..n} instead
 of the usual {0..n-1}: exponents of an n-cycle only matter mod n, and writing
 the zero class as n keeps divisors, graph vertices and one-line permutation
 images in the same value range. This module also carries the divisor and
-totient helpers the counting layer needs.
+totient helpers the counting layer needs, and the decimal rendering that
+every printed count goes through.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ __all__ = [
     "is_prime",
     "prime_factors",
     "residue",
-    "set_sieve_limit",
+    "to_decimal",
     "totient",
     "zn",
     "zn_add",
@@ -119,40 +120,27 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factors(n) == [n]
 
 
-# Euler's phi: values up to the sieve limit come from a one-time table,
-# anything larger falls back to direct factorization.
-_sieve_limit = 10_000
-_phi_table: list[int] | None = None
-
-
-def set_sieve_limit(limit: int) -> None:
-    """Resize the totient sieve; the table is rebuilt lazily on next use."""
-    global _sieve_limit, _phi_table
-    if limit < 1:
-        raise ValueError(f"sieve limit must be positive, got {limit}")
-    _sieve_limit = limit
-    _phi_table = None
-
-
-def _build_phi_table() -> list[int]:
-    phi = list(range(_sieve_limit + 1))
-    for p in range(2, _sieve_limit + 1):
-        if phi[p] == p:  # untouched so far, hence prime
-            for m in range(p, _sieve_limit + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
-
-
 def totient(m: int) -> int:
-    """Euler's totient; totient(1) == 1."""
-    global _phi_table
+    """Euler's totient by factorization; totient(1) == 1."""
     if m < 1:
         raise ValueError(f"totient is defined for positive integers, got {m}")
-    if m <= _sieve_limit:
-        if _phi_table is None:
-            _phi_table = _build_phi_table()
-        return _phi_table[m]
     result = m
     for p in prime_factors(m):
         result = result // p * (p - 1)
     return result
+
+
+# Python refuses str() of an int with more than 4300 digits by default
+# (sys.int_max_str_digits); class counts pass that from n = 1561 on.
+_CHUNK_DIGITS = 4000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def to_decimal(x: int) -> str:
+    """str(x) for an int of any size, converted in chunks below the guard."""
+    if x < 0:
+        return "-" + to_decimal(-x)
+    if x < _CHUNK:
+        return str(x)
+    hi, lo = divmod(x, _CHUNK)
+    return to_decimal(hi) + str(lo).zfill(_CHUNK_DIGITS)

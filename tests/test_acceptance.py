@@ -73,7 +73,7 @@ def test_01_golden_class_counts():
 
 
 def test_02_divisor_matrix_n12():
-    count_table(12)  # warm: totient sieve and graph construction
+    count_table(12)  # warm-up call, untimed
     start = time.perf_counter()
     table = count_table(12)
     elapsed = time.perf_counter() - start

@@ -90,7 +90,7 @@ def test_tau_preconditions():
         tau(g, 4, 4)     # r must be proper
 
 
-def test_structure_invariants_up_to_200(gamma):
+def test_structure_invariants_up_to_200(gamma, reach):
     for n in range(1, 201):
         g = gamma(n)
         assert len(g.vertices) == n
@@ -104,7 +104,7 @@ def test_structure_invariants_up_to_200(gamma):
             else:
                 assert v.l % v.k == 0 and v.l < n
                 assert gcd(v.l // v.k, n // v.k) == 1
-        sinks = {v for v in g.vertices if not g.reach[v]}
+        sinks = {v for v in g.vertices if not reach(n)[v]}
         assert sinks == {Vertex(n, n)}
         with_incoming = {b for _, b in g.arcs}
         expected_sources = ({Vertex(1, 1)} if n == 1 else
@@ -126,19 +126,35 @@ def test_structure_invariants_up_to_200(gamma):
             assert seen == set(g.vertices)
 
 
-def test_tau_ignores_anchor_second_coordinate(gamma):
+def test_tau_ignores_anchor_second_coordinate(gamma, reach):
     # the count of r-predecessors is the same for every vertex <k,l> with the
     # same k, so anchoring tau at <k,k> loses nothing; checked empirically
     for n in range(1, 61):
         g = gamma(n)
+        below = reach(n)
         for k in divisors(n):
             same_k = [v for v in g.vertices if v.k == k]
             for r in divisors(k)[:-1]:
                 counts = {
-                    sum(1 for u in g.vertices if u.k == r and v in g.reach[u])
+                    sum(1 for u in g.vertices if u.k == r and v in below[u])
                     for v in same_k
                 }
                 assert counts == {tau(g, k, r)}
+
+
+def test_tau_and_precedes_match_the_graph_up_to_120(gamma, reach, tau_by_scan):
+    # the closed forms against the graph itself: tau against a vertex scan,
+    # precedes against reachability along the arcs, for every proper divisor
+    # pair and every ordered vertex pair
+    for n in range(1, 121):
+        g = gamma(n)
+        below = reach(n)
+        for k in divisors(n):
+            for r in divisors(k)[:-1]:
+                assert tau(g, k, r) == tau_by_scan(n, k, r), (n, k, r)
+        for a in g.vertices:
+            for b in g.vertices:
+                assert precedes(g, a, b) == (b in below[a]), (n, a, b)
 
 
 def test_export_dot_gamma_12():

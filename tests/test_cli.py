@@ -9,7 +9,7 @@ import pytest
 from cycleq import cli
 from cycleq.cli import ENV_ORACLE_BOUND, build_parser, main
 from cycleq.class_graph import build_gamma, export_dot
-from cycleq.counting import InexactDivision, count_table
+from cycleq.counting import InexactDivision, count_table, q_count
 from cycleq.oracle import enumerate_classes
 
 GOLDEN = [
@@ -131,6 +131,63 @@ def test_matrix_json(capsys):
     assert doc["n"] == 4
     assert doc["total"] == "3"
     assert doc["columns"][0] == {"k": 1, "phi": "2", "h": "1", "product": "2"}
+
+
+# -- counts past Python's 4300-digit int/str guard --------------------------
+
+def parse_decimal(s):
+    """int(s) read in chunks, so digit strings of any length parse."""
+    assert s.isascii() and s.isdigit(), s[:40]
+    value = 0
+    for i in range(0, len(s), 4000):
+        part = s[i:i + 4000]
+        value = value * 10 ** len(part) + int(part)
+    return value
+
+
+def test_compute_past_digit_limit(capsys):
+    # |Q_2520| has about 7.5k digits
+    want = q_count(2520)
+    code, out, err = run(["compute", "2520"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and len(out) > 7000
+    assert parse_decimal(out[:-1]) == want
+    code, out, err = run(["compute", "2520", "-f", "json"], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["n"] == 2520
+    assert parse_decimal(doc["classes"]) == want
+
+
+def test_table_past_digit_limit(capsys):
+    code, out, err = run(["table", "2520", "2520"], capsys)
+    assert (code, err) == (0, "")
+    header, row, tail = out.split("\n")
+    assert tail == ""
+    n, classes = row.split("  ")
+    assert n == "2520"
+    assert parse_decimal(classes) == q_count(2520)
+    assert header == "   n  " + "classes".rjust(len(classes))
+
+
+def test_matrix_past_digit_limit(capsys):
+    table = count_table(2520)
+    code, out, err = run(["matrix", "2520"], capsys)
+    assert (code, err) == (0, "")
+    lines = out.split("\n")
+    assert len(lines) == 6 and lines[5] == ""
+    rows = [line.split()[1:] for line in lines[:4]]
+    assert [int(k) for k in rows[0]] == [c.k for c in table.columns]
+    for cells, field in zip(rows[1:], ("phi", "h", "product")):
+        assert [parse_decimal(c) for c in cells] == [getattr(c, field) for c in table.columns]
+    assert lines[4].startswith("|Q_2520| = ")
+    assert parse_decimal(lines[4][len("|Q_2520| = "):]) == table.total
+    code, out, err = run(["matrix", "2520", "-f", "json"], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert [(c["k"], parse_decimal(c["phi"]), parse_decimal(c["h"]),
+             parse_decimal(c["product"])) for c in doc["columns"]] == list(table.columns)
+    assert parse_decimal(doc["total"]) == table.total
 
 
 # -- graph -----------------------------------------------------------------
@@ -296,6 +353,28 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run(["matrix", "12"], capsys)
     assert code == 3
     assert err.startswith("internal error:")
+
+
+def test_failed_self_check_exit_code(capsys, monkeypatch):
+    # a constructed solution that fails its own re-verification is an
+    # internal error, not a usage error and not a traceback; swapping the
+    # factors of the composition the check uses makes every check fail
+    import cycleq.equation_solver as es
+    real = es.compose
+    monkeypatch.setattr(es, "compose", lambda a, b: real(b, a))
+    code, out, err = run(["solve", "5", "1", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: constructed")
+
+
+def test_output_file_error(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "count.txt"
+    code, out, err = run(["compute", "12", "-o", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_help_exits_clean(capsys):

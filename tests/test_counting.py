@@ -63,9 +63,6 @@ def test_h_12_6_expansion():
 def test_h_preconditions():
     with pytest.raises(ValueError):
         h_count(12, 5)
-    import cycleq.class_graph as cg
-    with pytest.raises(ValueError):
-        h_count(12, 2, cg.build_gamma(10))
 
 
 def test_count_table_12_is_the_reference_tally():
@@ -101,17 +98,17 @@ def test_divisions_stay_exact_up_to_200():
         count_table(n)
 
 
-def test_vertexwise_balance_up_to_8(gamma):
+def test_vertexwise_balance_up_to_8(gamma, reach):
     # per-vertex solution-count balance: the k*n classes at the vertex plus
     # the r*n classes strictly below it account for every solution
     for n in range(2, 9):
         g = gamma(n)
-        h = {k: h_count(n, k, g) for k in divisors(n)}
+        h = {k: h_count(n, k) for k in divisors(n)}
         for v in g.vertices:
             if v.k == n:
                 continue
             below = sum(u.k * n * h[u.k]
-                        for u in g.vertices if v in g.reach[u])
+                        for u in g.vertices if v in reach(n)[u])
             assert v.k * n * h[v.k] + below == p_count(n, v.k)
 
 
@@ -119,7 +116,7 @@ def test_class_count_balance_up_to_60(gamma):
     # all classes of all sizes tile the group exactly
     for n in range(1, 61):
         g = gamma(n)
-        h = {k: h_count(n, k, g) for k in divisors(n)}
+        h = {k: h_count(n, k) for k in divisors(n)}
         proper = sum(v.k * n * h[v.k] for v in g.vertices if v.k < n)
         assert proper + n * n * h[n] == factorial(n)
 
@@ -182,14 +179,38 @@ def test_table_json_uses_decimal_strings():
                                   "product": "3326054"}
 
 
-def test_inexact_division_is_loud():
-    # no valid input can trigger the guard, so feed the recursion a graph
-    # for the wrong n: (14/2 - tau) = 5 is odd and the division by k=2 must
-    # refuse to round
-    from cycleq.class_graph import build_gamma
-    from cycleq.counting import _h_values
-    with pytest.raises(InexactDivision):
-        _h_values(14, build_gamma(12), [1, 2])
+def test_inexact_division_is_loud(monkeypatch):
+    # no valid input can trigger the guards, so doctor the totients the
+    # recursion reads
+    import cycleq.counting as counting
+    real = counting.totient
+    # phi(14) read as 12 makes tau(2,1) = 12/6 = 2, so (14/2 - tau) = 5 is
+    # odd and the division by k=2 must refuse to round
+    monkeypatch.setattr(counting, "totient", lambda m: 12 if m == 14 else real(m))
+    with pytest.raises(InexactDivision, match=r"h\(14,2\)"):
+        counting._h_values(14, [1, 2])
+    # phi(7) read as 4 leaves a remainder in tau(2,1) = 6/4 itself
+    monkeypatch.setattr(counting, "totient", lambda m: 4 if m == 7 else real(m))
+    with pytest.raises(InexactDivision, match=r"tau\(2,1\)"):
+        counting._h_values(14, [1, 2])
+
+
+def burnside(n):
+    """|Q_n| by Burnside's lemma over Z_n x Z_n acting on S_n: the pair
+    (k, l) fixes d!(n/d)^d permutations when gcd(k,n) = gcd(l,n) = d, and
+    phi(n/d) exponents k have gcd(k,n) = d."""
+    total = sum(totient(n // d) ** 2 * factorial(d) * (n // d) ** d
+                for d in divisors(n))
+    q, rem = divmod(total, n * n)
+    assert rem == 0, f"Burnside sum for n={n} leaves remainder {rem}"
+    return q
+
+
+def test_q_count_matches_burnside():
+    # an independent count for every n the recursion is asked about,
+    # far past the n <= 8 brute force reaches
+    for n in [*range(1, 401), 1000, 2520, 5040, 10080]:
+        assert q_count(n) == burnside(n), n
 
 
 def test_count_table_rejects_nonpositive():

@@ -65,7 +65,7 @@ def test_solution_counts_for_all_pairs_up_to_7(gamma):
     # exponents vanish mod n
     for n in range(1, 8):
         g = gamma(n)
-        h = {k: h_count(n, k, g) for k in divisors(n)}
+        h = {k: h_count(n, k) for k in divisors(n)}
         for k in range(1, n + 1):
             for l in range(1, n + 1):
                 expected = 0

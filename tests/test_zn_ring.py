@@ -10,6 +10,7 @@ from cycleq.zn_ring import (
     is_prime,
     prime_factors,
     residue,
+    to_decimal,
     totient,
     zn,
     zn_add,
@@ -104,16 +105,20 @@ def test_totient_divisor_sum_identity():
         assert sum(totient(d) for d in divisors(n)) == n
 
 
-def test_totient_fallback_matches_sieve():
-    # values past the sieve limit go through factorization; spot-check both
-    # paths agree on a window that the default sieve covers
-    import cycleq.zn_ring as zr
-    for m in list(range(1, 200)) + [9973, 10000]:
-        direct = m
-        for p in prime_factors(m) if m > 1 else []:
-            direct = direct // p * (p - 1)
-        assert totient(m) == direct
-    assert zr._sieve_limit >= 1000
+def test_totient_matches_gcd_count():
+    # the definition: how many of 1..m are coprime to m
+    for m in range(1, 2001):
+        assert totient(m) == sum(1 for j in range(1, m + 1) if gcd(j, m) == 1), m
+
+
+def test_to_decimal_past_the_int_str_guard():
+    # inner chunks keep their leading zeros, and chunk boundaries carry over
+    assert to_decimal(0) == "0"
+    assert to_decimal(12345) == "12345"
+    assert to_decimal(10 ** 4000) == "1" + "0" * 4000
+    assert to_decimal(10 ** 4000 - 1) == "9" * 4000
+    assert to_decimal(10 ** 9000 + 7) == "1" + "0" * 8999 + "7"
+    assert to_decimal(-(3 * 10 ** 8000 + 42)) == "-3" + "0" * 7998 + "42"
 
 
 def test_totient_rejects_nonpositive():
