@@ -6,7 +6,7 @@ Two conventions everything else in the package leans on, so worth seeing
 in isolation first.
 """
 
-from cycleq.zn_ring import zn, zn_add, zn_mul, zn_sub, divisors, totient
+from cycleq.zn_ring import divisors, residue, totient
 from cycleq.permutation import (
     Permutation,
     canonical_sigma,
@@ -24,10 +24,10 @@ from cycleq.permutation import (
 
 n = 12
 print("mod-%d arithmetic with representatives 1..%d" % (n, n))
-print("  6*2  =", zn_mul(zn(6, n), zn(2, n)).value)   # 12, not 0
-print("  7*2  =", zn_mul(zn(7, n), zn(2, n)).value)   # 14 -> 2
-print("  10+5 =", zn_add(zn(10, n), zn(5, n)).value)  # 15 -> 3
-print("  3-5  =", zn_sub(zn(3, n), zn(5, n)).value)   # -2 -> 10
+print("  6*2  =", residue(6 * 2, n))   # 12, not 0
+print("  7*2  =", residue(7 * 2, n))   # 14 -> 2
+print("  10+5 =", residue(10 + 5, n))  # 15 -> 3
+print("  3-5  =", residue(3 - 5, n))   # -2 -> 10
 print("  divisors(12) =", divisors(12))
 print("  totient(12)  =", totient(12))
 print()

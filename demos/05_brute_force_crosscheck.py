@@ -2,10 +2,10 @@
 Believing the formulas: exhaustive cross-checks at small n
 ==========================================================
 
-Everything the counting layer claims can be checked against a flood fill
-over all of S_n for small n -- no number theory, just orbit closure under
-x -> sigma x and x -> x sigma. Factorial growth caps this around n=8, but
-agreement there plus exact arithmetic above is the whole point.
+Everything the counting layer claims can be checked against a walk over
+S_n for small n -- no number theory, just the orbits of x -> sigma x and
+x -> x sigma. Factorial growth caps this around n=8, but agreement there
+plus exact arithmetic above is the whole point.
 """
 
 import time

@@ -64,17 +64,12 @@ from .permutation import (
     power,
 )
 from .zn_ring import (
-    ZnElement,
     divisors,
     gcd,
     is_prime,
     prime_factors,
     residue,
     totient,
-    zn,
-    zn_add,
-    zn_mul,
-    zn_sub,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +90,6 @@ __all__ = [
     "NotPrime",
     "Permutation",
     "Vertex",
-    "ZnElement",
     "block_partition",
     "build_gamma",
     "canonical_sigma",
@@ -132,8 +126,4 @@ __all__ = [
     "tau",
     "totient",
     "wilson_check",
-    "zn",
-    "zn_add",
-    "zn_mul",
-    "zn_sub",
 ]

@@ -72,8 +72,11 @@ def _tau(phi: dict[int, int], k: int, r: int) -> int:
     return _exact_div(phi[r], phi[k], f"tau({k},{r})")
 
 
-def _h_values(n: int, ks: list[int]) -> dict[int, int]:
-    """h for every k in ks (ascending and closed under divisors), shared memo."""
+def _h_values(n: int, ks: list[int]) -> list[Column]:
+    """The column of every k in ks (ascending and closed under divisors).
+
+    Each totient is computed once and serves both tau and the column.
+    """
     phi = {k: totient(n // k) for k in ks}
     memo: dict[int, int] = {}
     for k in ks:
@@ -83,14 +86,14 @@ def _h_values(n: int, ks: list[int]) -> dict[int, int]:
         lower = sum(r * _tau(phi, k, r) * memo[r] for r in divisors(k)[:-1])
         numerator = factorial(k - 1) * (n // k) ** (k - 1) - lower
         memo[k] = _exact_div(numerator, k, f"h({n},{k})")
-    return memo
+    return [Column(k, phi[k], memo[k], phi[k] * memo[k]) for k in ks]
 
 
 def h_count(n: int, k: int) -> int:
     """Classes attached to one graph vertex with first coordinate k."""
     if n < 1 or k < 1 or n % k:
         raise ValueError(f"k={k} must be a divisor of n={n}")
-    return _h_values(n, divisors(k))[k]
+    return _h_values(n, divisors(k))[-1].h
 
 
 class Column(NamedTuple):
@@ -145,12 +148,7 @@ def count_table(n: int) -> CountTable:
     """The full tally for n: one column per divisor."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    ks = divisors(n)
-    h = _h_values(n, ks)
-    cols = []
-    for k in ks:
-        phi = totient(n // k)
-        cols.append(Column(k, phi, h[k], phi * h[k]))
+    cols = _h_values(n, divisors(n))
     return CountTable(n, tuple(cols), sum(c.product for c in cols))
 
 

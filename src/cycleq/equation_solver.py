@@ -106,9 +106,10 @@ def block_partition(n: int, k: int, sigma: Permutation | None = None) -> BlockPa
     return BlockPartition(k, tuple(blocks), tuple(anchors))
 
 
-def _check_solves(sigma: Permutation, k: int, l: int, xi: Permutation) -> None:
+def _check_solves(sig_k: Permutation, sig_l: Permutation,
+                  k: int, l: int, xi: Permutation) -> None:
     # construction is never trusted: re-verify by explicit composition
-    if compose(power(sigma, k), xi) != compose(xi, power(sigma, l)):
+    if compose(sig_k, xi) != compose(xi, sig_l):
         raise RuntimeError(
             f"constructed {xi} fails sigma^{k} * xi == xi * sigma^{l}")
 
@@ -138,7 +139,7 @@ def solve_base(n: int, l: int, a: int, sigma: Permutation | None = None) -> Perm
         pos = sigma(pos)
         val = sig_l(val)
     xi = Permutation(tuple(images))
-    _check_solves(sigma, 1, l, xi)
+    _check_solves(sigma, sig_l, 1, l, xi)
     return xi
 
 
@@ -147,7 +148,8 @@ def check_parameters(n: int, k: int, l: int) -> str | None:
 
     Valid families are (n, n), the trivial equation satisfied by all of S_n,
     and pairs with 1 <= k <= l < n where k divides both n and l and l is
-    s*k mod n for some s coprime to n.
+    s*k mod n for some s coprime to n, which holds exactly when
+    GCD(l/k, n/k) == 1.
     """
     if k == n and l == n:
         return None
@@ -157,7 +159,7 @@ def check_parameters(n: int, k: int, l: int) -> str | None:
         return f"k={k} does not divide n={n}"
     if l % k:
         return f"k={k} does not divide l={l}"
-    if not any(gcd(s, n) == 1 and s * k % n == l for s in range(1, n)):
+    if gcd(l // k, n // k) != 1:
         return f"l={l} is not s*k mod {n} for any s coprime to {n}"
     return None
 
@@ -192,7 +194,7 @@ def enumerate_solutions(inst: EquationInstance) -> list[Permutation]:
                     pos = sig_k(pos)
                     val = sig_l(val)
             xi = Permutation(tuple(images))
-            _check_solves(sigma, k, l, xi)
+            _check_solves(sig_k, sig_l, k, l, xi)
             out.append(xi)
     return out
 

@@ -1,11 +1,15 @@
 """Brute-force ground truth over all of S_n.
 
 Orbits of xi -> sigma * xi and xi -> xi * sigma are exactly the equivalence
-classes, so a flood fill over the whole group counts them with no number
-theory involved. Factorial growth makes this a small-n tool: calls are
-guarded by a configurable bound (default 8; 9 works but is slow). Visited
-bookkeeping is a flat bitmap indexed by Lehmer rank, which for tuples over
-range(n) coincides with lexicographic position.
+classes, so walking the group counts them with no number theory involved.
+Factorial growth makes this a small-n tool: calls are guarded by a
+configurable bound (default 8; 9 works but is slow). Right multiplication by
+the powers of sigma moves xi(1) through every point once, so each orbit
+splits into n-element cosets that each meet the slice xi(1) = 1 once. The
+walk therefore visits only that slice: for each of its elements it forms the
+n slice images sigma^a * xi * sigma^b(a), and the class is n times the
+number of distinct images. A class is counted at its lexicographically least
+member, which lies in the slice.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from math import factorial
 
-from .equation_solver import min_left_exponent
+from .equation_solver import _require_cycle, min_left_exponent
 from .permutation import Permutation, canonical_sigma, compose, inverse, is_full_cycle, power
 from .zn_ring import to_decimal
 
@@ -48,16 +51,9 @@ def _check_bound(n: int, bound: int) -> None:
             "raise the bound explicitly if you really want this")
 
 
-def _require_cycle(n: int, sigma: Permutation) -> None:
-    if sigma.degree != n:
-        raise ValueError(f"sigma has degree {sigma.degree}, expected {n}")
-    if n > 1 and not is_full_cycle(sigma):
-        raise ValueError(f"sigma must be a full cycle, got {sigma}")
-
-
 @dataclass(frozen=True)
 class ClassReport:
-    """What the flood fill saw: class count plus the size histogram."""
+    """What the orbit walk saw: class count plus the size histogram."""
 
     n: int
     sigma: Permutation
@@ -85,55 +81,45 @@ class ClassReport:
         return json.dumps(doc)
 
 
-def _lehmer_rank(perm: tuple, fact: list[int]) -> int:
-    n = len(perm)
-    r = 0
-    for i in range(n - 1):
-        pi = perm[i]
-        smaller = 0
-        for j in range(i + 1, n):
-            if perm[j] < pi:
-                smaller += 1
-        r += smaller * fact[n - 1 - i]
-    return r
-
-
 def enumerate_classes(n: int,
                       sigma: Permutation | None = None,
                       bound: int = DEFAULT_BOUND,
                       with_classes: bool = False) -> ClassReport:
-    """Flood-fill every orbit of left/right multiplication by sigma."""
+    """Every orbit of left/right multiplication by sigma.
+
+    Each is met in the slice xi(1) = 1 and counted at its least member.
+    """
     _check_bound(n, bound)
     sigma = canonical_sigma(n) if sigma is None else sigma
     _require_cycle(n, sigma)
 
-    sig = tuple(v - 1 for v in sigma.images)  # 0-based for the hot loop
-    idx = range(n)
-    fact = [factorial(i) for i in range(n)]
-    visited = bytearray(factorial(n))
+    # 0-based for the hot loop: powers[a][i] is sigma^a(i), and
+    # powers[to_zero[v]] sends v to 0
+    sig = tuple(v - 1 for v in sigma.images)
+    powers = [tuple(range(n))]
+    for _ in range(n - 1):
+        powers.append(tuple(sig[v] for v in powers[-1]))
+    to_zero = [0] * n
+    for b, pb in enumerate(powers):
+        to_zero[pb.index(0)] = b
+
     histogram: Counter = Counter()
     details = []
     count = 0
-    for rank, start in enumerate(itertools.permutations(range(n))):
-        if visited[rank]:
+    for tail in itertools.permutations(range(1, n)):
+        x = (0,) + tail
+        # sigma^a * x * sigma^b for the one b that puts it back in the slice
+        images = set()
+        for pa in powers:
+            pb = powers[to_zero[x[pa[0]]]]
+            images.add(tuple(pb[x[i]] for i in pa))
+        if x != min(images):
             continue
-        visited[rank] = 1
-        size = 1
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            left = tuple(x[sig[i]] for i in idx)
-            right = tuple(sig[v] for v in x)
-            for y in (left, right):
-                ry = _lehmer_rank(y, fact)
-                if not visited[ry]:
-                    visited[ry] = 1
-                    size += 1
-                    queue.append(y)
+        size = n * len(images)
         count += 1
         histogram[size] += 1
         if with_classes:
-            rep = Permutation(tuple(v + 1 for v in start))
+            rep = Permutation(tuple(v + 1 for v in x))
             details.append((rep, size, min_left_exponent(rep, sigma)))
 
     return ClassReport(n, sigma, count, dict(sorted(histogram.items())),

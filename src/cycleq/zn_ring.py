@@ -10,11 +10,9 @@ every printed count goes through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt  # gcd is re-exported on purpose; no point rewriting it
 
 __all__ = [
-    "ZnElement",
     "divisors",
     "gcd",
     "is_prime",
@@ -22,10 +20,6 @@ __all__ = [
     "residue",
     "to_decimal",
     "totient",
-    "zn",
-    "zn_add",
-    "zn_mul",
-    "zn_sub",
 ]
 
 
@@ -33,52 +27,6 @@ def residue(x: int, n: int) -> int:
     """Representative of x mod n inside {1..n}; the zero class maps to n."""
     r = x % n
     return n if r == 0 else r
-
-
-@dataclass(frozen=True)
-class ZnElement:
-    """A residue in {1..n} together with its modulus."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be at least 1, got {self.modulus}")
-        if not 1 <= self.value <= self.modulus:
-            raise ValueError(
-                f"value {self.value} outside 1..{self.modulus}; "
-                "use zn() to normalize arbitrary integers"
-            )
-
-    def __str__(self):
-        return f"{self.value} (mod {self.modulus})"
-
-
-def zn(value: int, modulus: int) -> ZnElement:
-    """Element for an arbitrary integer, normalized into {1..modulus}."""
-    return ZnElement(residue(value, modulus), modulus)
-
-
-def _common_modulus(a: ZnElement, b: ZnElement) -> int:
-    if a.modulus != b.modulus:
-        raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
-    return a.modulus
-
-
-def zn_mul(a: ZnElement, b: ZnElement) -> ZnElement:
-    n = _common_modulus(a, b)
-    return ZnElement(residue(a.value * b.value, n), n)
-
-
-def zn_add(a: ZnElement, b: ZnElement) -> ZnElement:
-    n = _common_modulus(a, b)
-    return ZnElement(residue(a.value + b.value, n), n)
-
-
-def zn_sub(a: ZnElement, b: ZnElement) -> ZnElement:
-    n = _common_modulus(a, b)
-    return ZnElement(residue(a.value - b.value, n), n)
 
 
 # ---------------------------------------------------------------------------

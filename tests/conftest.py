@@ -1,6 +1,13 @@
+import itertools
+from collections import Counter, deque
+from math import factorial
+
 import pytest
 
 from cycleq.class_graph import Vertex, build_gamma
+from cycleq.equation_solver import _require_cycle, min_left_exponent
+from cycleq.oracle import DEFAULT_BOUND, ClassReport, _check_bound
+from cycleq.permutation import Permutation, canonical_sigma
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +64,65 @@ def tau_by_scan(gamma, reach):
         return sum(1 for v in gamma(n).vertices if v.k == r and anchor in below[v])
 
     return count
+
+
+def _lehmer_rank(perm: tuple, fact: list[int]) -> int:
+    n = len(perm)
+    r = 0
+    for i in range(n - 1):
+        pi = perm[i]
+        smaller = 0
+        for j in range(i + 1, n):
+            if perm[j] < pi:
+                smaller += 1
+        r += smaller * fact[n - 1 - i]
+    return r
+
+
+def enumerate_classes_by_bfs(n: int,
+                             sigma: Permutation | None = None,
+                             bound: int = DEFAULT_BOUND,
+                             with_classes: bool = False) -> ClassReport:
+    """Flood-fill every orbit of left/right multiplication by sigma over all
+    of S_n, visited flags indexed by Lehmer rank (the lexicographic position).
+    The reference for oracle.enumerate_classes."""
+    _check_bound(n, bound)
+    sigma = canonical_sigma(n) if sigma is None else sigma
+    _require_cycle(n, sigma)
+
+    sig = tuple(v - 1 for v in sigma.images)  # 0-based for the hot loop
+    idx = range(n)
+    fact = [factorial(i) for i in range(n)]
+    visited = bytearray(factorial(n))
+    histogram: Counter = Counter()
+    details = []
+    count = 0
+    for rank, start in enumerate(itertools.permutations(range(n))):
+        if visited[rank]:
+            continue
+        visited[rank] = 1
+        size = 1
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            left = tuple(x[sig[i]] for i in idx)
+            right = tuple(sig[v] for v in x)
+            for y in (left, right):
+                ry = _lehmer_rank(y, fact)
+                if not visited[ry]:
+                    visited[ry] = 1
+                    size += 1
+                    queue.append(y)
+        count += 1
+        histogram[size] += 1
+        if with_classes:
+            rep = Permutation(tuple(v + 1 for v in start))
+            details.append((rep, size, min_left_exponent(rep, sigma)))
+
+    return ClassReport(n, sigma, count, dict(sorted(histogram.items())),
+                       tuple(details) if with_classes else None)
+
+
+@pytest.fixture(scope="session")
+def classes_by_bfs():
+    return enumerate_classes_by_bfs

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from math import factorial
 
 import pytest
@@ -9,8 +10,10 @@ from cycleq.counting import h_count, p_count, predicted_size_histogram, q_count
 from cycleq.equation_solver import check_parameters
 from cycleq.oracle import (
     DEFAULT_BOUND,
+    DEFAULT_SEED,
     BoundExceeded,
     ClassReport,
+    _random_full_cycle_conjugate,
     count_equation_solutions,
     enumerate_classes,
     sigma_independence_check,
@@ -50,6 +53,22 @@ def test_oracle_agrees_with_formula_small_n():
         rep = enumerate_classes(n)
         assert rep.class_count == q_count(n)
         assert rep.size_histogram == predicted_size_histogram(n)
+
+
+def test_enumerate_classes_matches_bfs_reference(classes_by_bfs):
+    # the slice walk against the flood fill over all of S_n: same counts,
+    # histograms, representatives in the same order, and the same JSON
+    for n in range(1, 9):
+        shift = canonical_sigma(n)
+        rng = random.Random(DEFAULT_SEED)
+        sigmas = [shift, inverse(shift)]
+        sigmas += [_random_full_cycle_conjugate(n, shift, rng) for _ in range(3)]
+        for sigma in sigmas:
+            detail = n <= 7
+            got = enumerate_classes(n, sigma, with_classes=detail)
+            want = classes_by_bfs(n, sigma, with_classes=detail)
+            assert got == want, (n, sigma)
+            assert got.to_json() == want.to_json(), (n, sigma)
 
 
 def test_count_equation_solutions_examples():
