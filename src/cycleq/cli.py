@@ -36,7 +36,6 @@ from .oracle import (
     enumerate_classes,
     sigma_independence_check,
 )
-from .permutation import one_line
 from .zn_ring import to_decimal
 
 __all__ = ["CliConfig", "main"]
@@ -187,12 +186,16 @@ def cmd_solve(cfg: CliConfig) -> tuple[int, str]:
     except ValueError as e:  # exponents outside 1..n
         raise UsageError(str(e)) from e
     solutions = enumerate_solutions(inst)
+    # one format for every row: the bytes of one_line in text and of
+    # str(list(images)) in json
+    sep = ", " if cfg.fmt == "json" else " "
+    row = "[" + sep.join(["%d"] * cfg.n) + "]"
     if cfg.fmt == "json":
-        body = ", ".join(str(list(s.images)) for s in solutions)
+        body = ", ".join([row % s.images for s in solutions])
         return EXIT_OK, (f'{{"n": {cfg.n}, "k": {cfg.k}, "l": {cfg.l}, '
                          f'"count": {len(solutions)}, "solutions": [{body}]}}\n')
     lines = [f"count={len(solutions)}"]
-    lines += [one_line(s) for s in solutions]
+    lines += [row % s.images for s in solutions]
     return EXIT_OK, "\n".join(lines) + "\n"
 
 

@@ -75,15 +75,16 @@ def _tau(phi: dict[int, int], k: int, r: int) -> int:
 def _h_values(n: int, ks: list[int]) -> list[Column]:
     """The column of every k in ks (ascending and closed under divisors).
 
-    Each totient is computed once and serves both tau and the column.
+    Each totient is computed once and serves both tau and the column, and
+    the proper divisors of ks[i] are the members of ks[:i] that divide it.
     """
     phi = {k: totient(n // k) for k in ks}
     memo: dict[int, int] = {}
-    for k in ks:
+    for i, k in enumerate(ks):
         if k == 1:
             memo[1] = 1
             continue
-        lower = sum(r * _tau(phi, k, r) * memo[r] for r in divisors(k)[:-1])
+        lower = sum(r * _tau(phi, k, r) * memo[r] for r in ks[:i] if k % r == 0)
         numerator = factorial(k - 1) * (n // k) ** (k - 1) - lower
         memo[k] = _exact_div(numerator, k, f"h({n},{k})")
     return [Column(k, phi[k], memo[k], phi[k] * memo[k]) for k in ks]

@@ -182,17 +182,23 @@ def enumerate_solutions(inst: EquationInstance) -> list[Permutation]:
     sig_k = power(sigma, k)
     sig_l = power(sigma, l)
     targets = [tuple(sorted(b)) for b in part.blocks]
-    span = n // k
+    # each block lists its 0-based positions in sigma^k orbit order from its
+    # anchor, and orbit[v] is v, sigma^l(v), ... of the same length, so an
+    # anchor value val fills its block with zip(block, orbit[val])
+    blocks = [[pos - 1 for pos in b] for b in part.blocks]
+    orbit = {}
+    for v in range(1, n + 1):
+        seq = [v]
+        for _ in range(n // k - 1):
+            seq.append(sig_l(seq[-1]))
+        orbit[v] = seq
     out = []
     for assignment in itertools.permutations(range(k)):
         for choice in itertools.product(*(targets[t] for t in assignment)):
             images = [0] * n
-            for anchor, val in zip(part.anchors, choice):
-                pos = anchor
-                for _ in range(span):
-                    images[pos - 1] = val
-                    pos = sig_k(pos)
-                    val = sig_l(val)
+            for block, val in zip(blocks, choice):
+                for pos, image in zip(block, orbit[val]):
+                    images[pos] = image
             xi = Permutation(tuple(images))
             _check_solves(sig_k, sig_l, k, l, xi)
             out.append(xi)

@@ -29,15 +29,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """Bijection of {1..n}, stored as the tuple of images (a(1), ..., a(n))."""
 
     images: tuple[int, ...]
 
     def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+        images = self.images
+        if type(images) is not tuple:  # a tuple subclass is copied too
+            images = tuple(images)
+            object.__setattr__(self, "images", images)
         n = len(images)
         if n < 1:
             raise ValueError("a permutation needs degree at least 1")

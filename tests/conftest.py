@@ -7,7 +7,7 @@ import pytest
 from cycleq.class_graph import Vertex, build_gamma
 from cycleq.equation_solver import _require_cycle, min_left_exponent
 from cycleq.oracle import DEFAULT_BOUND, ClassReport, _check_bound
-from cycleq.permutation import Permutation, canonical_sigma
+from cycleq.permutation import Permutation, canonical_sigma, power
 
 
 @pytest.fixture(scope="session")
@@ -126,3 +126,28 @@ def enumerate_classes_by_bfs(n: int,
 @pytest.fixture(scope="session")
 def classes_by_bfs():
     return enumerate_classes_by_bfs
+
+
+def count_solutions_by_scan(n: int, k: int, l: int,
+                            sigma: Permutation | None = None,
+                            bound: int = DEFAULT_BOUND) -> int:
+    """Count xi with sigma^k * xi == xi * sigma^l by testing all of S_n one
+    point at a time. The reference for oracle.count_equation_solutions."""
+    _check_bound(n, bound)
+    if k < 1 or l < 1:
+        raise ValueError(f"exponents must be positive, got k={k}, l={l}")
+    sigma = canonical_sigma(n) if sigma is None else sigma
+    _require_cycle(n, sigma)
+    sig_k = tuple(v - 1 for v in power(sigma, k).images)
+    sig_l = tuple(v - 1 for v in power(sigma, l).images)
+    idx = range(n)
+    count = 0
+    for x in itertools.permutations(range(n)):
+        if all(x[sig_k[i]] == sig_l[x[i]] for i in idx):
+            count += 1
+    return count
+
+
+@pytest.fixture(scope="session")
+def solutions_by_scan():
+    return count_solutions_by_scan

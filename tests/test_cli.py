@@ -12,7 +12,9 @@ from cycleq import cli
 from cycleq.cli import ENV_ORACLE_BOUND, build_parser, main
 from cycleq.class_graph import build_gamma, export_dot
 from cycleq.counting import InexactDivision, count_table, q_count
+from cycleq.equation_solver import EquationInstance, check_parameters, enumerate_solutions
 from cycleq.oracle import enumerate_classes
+from cycleq.permutation import one_line
 
 GOLDEN = [
     (2, 1), (3, 2), (4, 3), (5, 8), (6, 24), (7, 108), (8, 640),
@@ -252,6 +254,27 @@ def test_solve_json(capsys):
         (1, 2, 3, 4), (1, 4, 3, 2), (3, 2, 1, 4), (3, 4, 1, 2),
         (2, 1, 4, 3), (2, 3, 4, 1), (4, 1, 2, 3), (4, 3, 2, 1),
     }
+
+
+def test_solve_rendering_matches_one_line(capsys):
+    # the row format against one_line (text) and str(list(images)) (json),
+    # with two-digit images at n = 10 and 12
+    cases = [(n, k, l) for n in range(1, 9) for k in range(1, n + 1)
+             for l in range(1, n + 1) if check_parameters(n, k, l) is None]
+    cases += [(10, 5, 5), (12, 4, 4)]
+    for n, k, l in cases:
+        solutions = enumerate_solutions(EquationInstance(n, k, l))
+        argv = ["solve", str(n), str(k), str(l)]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == (f"count={len(solutions)}\n"
+                       + "\n".join(one_line(s) for s in solutions) + "\n"), (n, k, l)
+        code, out, err = run(argv + ["-f", "json"], capsys)
+        assert (code, err) == (0, "")
+        body = ", ".join(str(list(s.images)) for s in solutions)
+        assert out == (f'{{"n": {n}, "k": {k}, "l": {l}, '
+                       f'"count": {len(solutions)}, "solutions": [{body}]}}\n'), (n, k, l)
+    assert run(["solve", "1", "1", "1"], capsys) == (0, "count=1\n[1]\n", "")
 
 
 def test_solve_invalid_pair(capsys):

@@ -77,6 +77,21 @@ def test_count_equation_solutions_examples():
     assert count_equation_solutions(6, 1, 2) == 0
 
 
+def test_count_equation_solutions_matches_scan_reference(solutions_by_scan):
+    # the tuple comparison against the point-by-point scan, for every
+    # exponent pair and several full cycles; n = 1 has a one-point tuple
+    for n in range(1, 8):
+        shift = canonical_sigma(n)
+        rng = random.Random(DEFAULT_SEED)
+        sigmas = [shift, inverse(shift)]
+        sigmas += [_random_full_cycle_conjugate(n, shift, rng) for _ in range(3)]
+        for sigma in sigmas:
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    assert (count_equation_solutions(n, k, l, sigma)
+                            == solutions_by_scan(n, k, l, sigma)), (n, k, l, sigma)
+
+
 def test_solution_counts_for_all_pairs_up_to_7(gamma):
     # every (k,l), valid or not: a pair is satisfied by the classes of each
     # vertex <r,t> whose relation lattice contains it, i.e. u*r == k and

@@ -133,6 +133,14 @@ def test_validation():
         compose(identity(3), identity(4))
 
 
+def test_images_stored_as_tuple():
+    p = Permutation([2, 1, 3])
+    assert type(p.images) is tuple
+    assert p == Permutation((2, 1, 3))
+    assert hash(p) == hash(Permutation((2, 1, 3)))
+    assert not hasattr(p, "__dict__")
+
+
 def test_rendering():
     sigma = canonical_sigma(4)
     assert one_line(sigma) == "[2 3 4 1]"
