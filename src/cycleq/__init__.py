@@ -39,6 +39,7 @@ from .equation_solver import (
     check_parameters,
     enumerate_solutions,
     min_left_exponent,
+    solution_images,
     solve_base,
 )
 from .oracle import (
@@ -122,6 +123,7 @@ __all__ = [
     "q_prime",
     "residue",
     "sigma_independence_check",
+    "solution_images",
     "solve_base",
     "tau",
     "totient",

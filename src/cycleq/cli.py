@@ -26,7 +26,7 @@ from .equation_solver import (
     EquationInstance,
     InvalidParameters,
     NoSolution,
-    enumerate_solutions,
+    solution_images,
 )
 from .oracle import (
     DEFAULT_BOUND,
@@ -185,18 +185,16 @@ def cmd_solve(cfg: CliConfig) -> tuple[int, str]:
         inst = EquationInstance(cfg.n, cfg.k, cfg.l)
     except ValueError as e:  # exponents outside 1..n
         raise UsageError(str(e)) from e
-    solutions = enumerate_solutions(inst)
-    # one format for every row: the bytes of one_line in text and of
-    # str(list(images)) in json
+    # one format for every row, applied to each checked image tuple: the
+    # bytes of one_line in text and of str(list(images)) in json
     sep = ", " if cfg.fmt == "json" else " "
-    row = "[" + sep.join(["%d"] * cfg.n) + "]"
+    row = "[" + sep.join(["%s"] * cfg.n) + "]"
+    rows = list(map(row.__mod__, solution_images(inst)))
     if cfg.fmt == "json":
-        body = ", ".join([row % s.images for s in solutions])
+        body = ", ".join(rows)
         return EXIT_OK, (f'{{"n": {cfg.n}, "k": {cfg.k}, "l": {cfg.l}, '
-                         f'"count": {len(solutions)}, "solutions": [{body}]}}\n')
-    lines = [f"count={len(solutions)}"]
-    lines += [row % s.images for s in solutions]
-    return EXIT_OK, "\n".join(lines) + "\n"
+                         f'"count": {len(rows)}, "solutions": [{body}]}}\n')
+    return EXIT_OK, f"count={len(rows)}\n" + "\n".join(rows) + "\n"
 
 
 def _verify_one(n: int, bound: int, seed: int) -> str | None:
@@ -218,11 +216,11 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
         if got != expected:
             return (f"equation (k={v.k}, l={v.l}) has {got} solutions, "
                     f"formula says {expected}")
-        listed = enumerate_solutions(EquationInstance(n, v.k, v.l))
-        if len(listed) != expected:
-            return (f"enumerator produced {len(listed)} solutions for "
+        listed = sum(1 for _ in solution_images(EquationInstance(n, v.k, v.l)))
+        if listed != expected:
+            return (f"enumerator produced {listed} solutions for "
                     f"(k={v.k}, l={v.l}), formula says {expected}")
-    if not sigma_independence_check(n, seed=seed, bound=bound):
+    if not sigma_independence_check(n, seed=seed, bound=bound, base=report):
         return "class structure varied across choices of full cycle"
     return None
 

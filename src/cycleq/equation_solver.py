@@ -5,13 +5,16 @@ anchor value xi(1) = a determines everything through the recursion
 xi(sigma^j(1)) = sigma^(j*l)(a). For general k the points {1..n} split into
 k blocks, the orbits of sigma^k, and a solution is one choice of a distinct
 target block plus an anchor value per block; that makes k! * (n/k)**k
-solutions, enumerated here in a fixed lexicographic order. Every permutation
-handed back has been checked against the equation by direct composition.
+solutions. `solution_images` yields them in a fixed lexicographic order as
+one-line image tuples, each checked to be a bijection of 1..n and, for
+k < n, to satisfy the equation on the precomputed powers of sigma before it
+is handed out; `enumerate_solutions` wraps the same tuples as Permutations.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -33,6 +36,7 @@ __all__ = [
     "check_parameters",
     "enumerate_solutions",
     "min_left_exponent",
+    "solution_images",
     "solve_base",
 ]
 
@@ -106,12 +110,38 @@ def block_partition(n: int, k: int, sigma: Permutation | None = None) -> BlockPa
     return BlockPartition(k, tuple(blocks), tuple(anchors))
 
 
-def _check_solves(sig_k: Permutation, sig_l: Permutation,
-                  k: int, l: int, xi: Permutation) -> None:
-    # construction is never trusted: re-verify by explicit composition
-    if compose(sig_k, xi) != compose(xi, sig_l):
-        raise RuntimeError(
-            f"constructed {xi} fails sigma^{k} * xi == xi * sigma^{l}")
+def _check_tables(sigma: Permutation, k: int,
+                  l: int) -> tuple[set[int], tuple[int, ...], tuple[int, ...]]:
+    """What _check_solves compares against: the points 1..n, sigma^k, sigma^l.
+
+    sigma^k comes as 0-based positions and sigma^l indexed by point, so
+    sigma^k * xi sends i to xi[sig_k0[i - 1]] and xi * sigma^l sends it to
+    sig_l1[xi[i - 1]]. The powers are computed here, apart from the ones
+    the construction uses.
+    """
+    n = sigma.degree
+    return (set(range(1, n + 1)),
+            tuple([v - 1 for v in power(sigma, k).images]),
+            (0,) + power(sigma, l).images)
+
+
+def _check_solves(xi: tuple[int, ...], points: set[int], sig_k0: tuple[int, ...],
+                  sig_l1: tuple[int, ...], k: int, l: int) -> None:
+    """Raise RuntimeError unless xi is a bijection of 1..n solving the equation.
+
+    The tables come from _check_tables. The equation is not tested for
+    k == n: every caller then has l == n or n == 1, so both sides are xi.
+    """
+    # construction is never trusted: re-verify every image tuple
+    n = len(points)
+    if len(xi) != n or set(xi) != points:
+        problem = f"is not a bijection of 1..{n}"
+    elif k < n and (tuple(map(xi.__getitem__, sig_k0))
+                    != tuple(map(sig_l1.__getitem__, xi))):
+        problem = f"fails sigma^{k} * xi == xi * sigma^{l}"
+    else:
+        return
+    raise RuntimeError(f"constructed [{' '.join(map(str, xi))}] {problem}")
 
 
 def solve_base(n: int, l: int, a: int, sigma: Permutation | None = None) -> Permutation:
@@ -138,9 +168,9 @@ def solve_base(n: int, l: int, a: int, sigma: Permutation | None = None) -> Perm
         images[pos - 1] = val
         pos = sigma(pos)
         val = sig_l(val)
-    xi = Permutation(tuple(images))
-    _check_solves(sigma, sig_l, 1, l, xi)
-    return xi
+    xi = tuple(images)
+    _check_solves(xi, *_check_tables(sigma, 1, l), 1, l)
+    return Permutation(xi)
 
 
 def check_parameters(n: int, k: int, l: int) -> str | None:
@@ -164,22 +194,26 @@ def check_parameters(n: int, k: int, l: int) -> str | None:
     return None
 
 
-def enumerate_solutions(inst: EquationInstance) -> list[Permutation]:
-    """Every solution of the instance, in a fixed deterministic order.
+def solution_images(inst: EquationInstance) -> Iterator[tuple[int, ...]]:
+    """The one-line image tuple of every solution, in a fixed order.
 
-    The result has exactly k! * (n/k)**k members. Invalid (k, l) raises
-    InvalidParameters with the failed condition spelled out.
+    Yields exactly k! * (n/k)**k tuples, each one checked before it is
+    yielded. Invalid (k, l) raises InvalidParameters, with the failed
+    condition spelled out, when iteration starts.
     """
     n, k, l, sigma = inst.n, inst.k, inst.l, inst.sigma
     reason = check_parameters(n, k, l)
     if reason is not None:
         raise InvalidParameters(reason)
+    points, sig_k0, sig_l1 = _check_tables(sigma, k, l)
     if k == n:
         # sigma^n is the identity on both sides, so everything solves it
-        return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+        for xi in itertools.permutations(range(1, n + 1)):
+            _check_solves(xi, points, sig_k0, sig_l1, k, l)
+            yield xi
+        return
 
     part = block_partition(n, k, sigma)
-    sig_k = power(sigma, k)
     sig_l = power(sigma, l)
     targets = [tuple(sorted(b)) for b in part.blocks]
     # each block lists its 0-based positions in sigma^k orbit order from its
@@ -192,17 +226,24 @@ def enumerate_solutions(inst: EquationInstance) -> list[Permutation]:
         for _ in range(n // k - 1):
             seq.append(sig_l(seq[-1]))
         orbit[v] = seq
-    out = []
     for assignment in itertools.permutations(range(k)):
         for choice in itertools.product(*(targets[t] for t in assignment)):
             images = [0] * n
             for block, val in zip(blocks, choice):
                 for pos, image in zip(block, orbit[val]):
                     images[pos] = image
-            xi = Permutation(tuple(images))
-            _check_solves(sig_k, sig_l, k, l, xi)
-            out.append(xi)
-    return out
+            xi = tuple(images)
+            _check_solves(xi, points, sig_k0, sig_l1, k, l)
+            yield xi
+
+
+def enumerate_solutions(inst: EquationInstance) -> list[Permutation]:
+    """Every solution of the instance, in the order of solution_images.
+
+    The result has exactly k! * (n/k)**k members. Invalid (k, l) raises
+    InvalidParameters with the failed condition spelled out.
+    """
+    return [Permutation(xi) for xi in solution_images(inst)]
 
 
 def min_left_exponent(xi: Permutation,

@@ -170,19 +170,25 @@ def _random_full_cycle_conjugate(n: int, sigma: Permutation,
 def sigma_independence_check(n: int,
                              samples: int = 3,
                              seed: int = DEFAULT_SEED,
-                             bound: int = DEFAULT_BOUND) -> bool:
+                             bound: int = DEFAULT_BOUND,
+                             base: ClassReport | None = None) -> bool:
     """Class count and histogram agree for several choices of full cycle.
 
     Candidates are the canonical shift, its inverse, and `samples` seeded
-    random conjugates of the shift.
+    random conjugates of the shift. `base` is the report for the canonical
+    shift when the caller has already walked it; by default it is walked
+    here.
     """
     _check_bound(n, bound)
     shift = canonical_sigma(n)
+    if base is None:
+        base = enumerate_classes(n, shift, bound=bound)
+    elif base.n != n or base.sigma != shift:
+        raise ValueError(f"base must report on the canonical shift of degree {n}")
     rng = random.Random(seed)
     candidates = [inverse(shift)]
     candidates += [_random_full_cycle_conjugate(n, shift, rng)
                    for _ in range(samples)]
-    base = enumerate_classes(n, shift, bound=bound)
     for cand in candidates:
         report = enumerate_classes(n, cand, bound=bound)
         if (report.class_count != base.class_count

@@ -80,7 +80,7 @@ def compose(alpha: Permutation, beta: Permutation) -> Permutation:
     if alpha.degree != beta.degree:
         raise ValueError(f"degree mismatch: {alpha.degree} vs {beta.degree}")
     b = beta.images
-    return Permutation(tuple(b[a - 1] for a in alpha.images))
+    return Permutation(tuple([b[a - 1] for a in alpha.images]))
 
 
 def inverse(alpha: Permutation) -> Permutation:

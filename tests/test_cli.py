@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -277,6 +278,25 @@ def test_solve_rendering_matches_one_line(capsys):
     assert run(["solve", "1", "1", "1"], capsys) == (0, "count=1\n[1]\n", "")
 
 
+@pytest.mark.parametrize("argv, digest, size", [
+    (["solve", "9", "9", "9"],
+     "38acf8a89f230b4174d407226e3ea283ec20674b6e24b56117d2f06828beb94e", 7257613),
+    (["solve", "9", "9", "9", "-f", "json"],
+     "dad7aa659cf42bad43b1785593d574c3d206f1e179d0d1d62a0256fa3537a688", 10523577),
+    (["solve", "10", "5", "5", "-f", "json"],
+     "659844d8f41c137b7c3a2f3db7f8cec79de9968a3ad1446a53a6e6ab42a6c241", 126776),
+    (["solve", "12", "4", "4"],
+     "79770a8b39800f589b2971121e968a8b05d1c7e0bcccbc1168bceae967bda125", 56387),
+])
+def test_solve_golden_digests(capsys, argv, digest, size):
+    # the full listings, pinned by length and sha256 of stdout
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_solve_invalid_pair(capsys):
     code, out, err = run(["solve", "6", "1", "2"], capsys)
     assert code == 2
@@ -343,6 +363,28 @@ def test_verify_reports_failure(capsys, monkeypatch):
     assert "formula says 1" in out
 
 
+def test_verify_walks_each_shift_once(capsys, monkeypatch):
+    # the class walk of the canonical shift that checks the count is the
+    # base of the sigma-independence check too: per n one walk for the
+    # shift, one for its inverse and one per seeded conjugate
+    import cycleq.oracle as oracle
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+    walks = []
+
+    def recording(walk):
+        def wrapper(n, sigma=None, bound=8, with_classes=False):
+            walks.append(n)
+            return walk(n, sigma, bound, with_classes)
+        return wrapper
+
+    monkeypatch.setattr(cli, "enumerate_classes", recording(cli.enumerate_classes))
+    monkeypatch.setattr(oracle, "enumerate_classes", recording(oracle.enumerate_classes))
+    code, out, err = run(["verify", "2", "6"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "n=2 PASS\nn=3 PASS\nn=4 PASS\nn=5 PASS\nn=6 PASS\n"
+    assert walks == [n for n in range(2, 7) for _ in range(5)]
+
+
 # -- plumbing --------------------------------------------------------------
 
 def test_output_file(capsys, tmp_path):
@@ -382,11 +424,13 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 def test_failed_self_check_exit_code(capsys, monkeypatch):
     # a constructed solution that fails its own re-verification is an
-    # internal error, not a usage error and not a traceback; swapping the
-    # factors of the composition the check uses makes every check fail
+    # internal error, not a usage error and not a traceback; handing the
+    # check each solution with its first two images swapped makes every
+    # check fail
     import cycleq.equation_solver as es
-    real = es.compose
-    monkeypatch.setattr(es, "compose", lambda a, b: real(b, a))
+    real = es._check_solves
+    monkeypatch.setattr(es, "_check_solves",
+                        lambda xi, *rest: real(xi[1::-1] + xi[2:], *rest))
     code, out, err = run(["solve", "5", "1", "2"], capsys)
     assert code == 3
     assert out == ""

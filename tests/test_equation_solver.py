@@ -10,10 +10,13 @@ from cycleq.equation_solver import (
     EquationInstance,
     InvalidParameters,
     NoSolution,
+    _check_solves,
+    _check_tables,
     block_partition,
     check_parameters,
     enumerate_solutions,
     min_left_exponent,
+    solution_images,
     solve_base,
 )
 from cycleq.oracle import count_equation_solutions
@@ -193,6 +196,43 @@ def test_enumerate_rejects_invalid_pairs():
     with pytest.raises(InvalidParameters) as exc:
         enumerate_solutions(EquationInstance(6, 1, 3))
     assert "coprime" in str(exc.value)
+
+
+def test_solution_images_are_the_enumerated_solutions():
+    # enumerate_solutions wraps the image tuples, in the same order
+    for n in range(1, 9):
+        for k, l in valid_pairs(n) + [(n, n)]:
+            inst = EquationInstance(n, k, l)
+            images = list(solution_images(inst))
+            assert all(type(xi) is tuple for xi in images)
+            assert images == [s.images for s in enumerate_solutions(inst)]
+
+
+def test_solution_images_rejects_invalid_pairs_when_iterated():
+    with pytest.raises(InvalidParameters) as exc:
+        next(solution_images(EquationInstance(6, 1, 3)))
+    assert "coprime" in str(exc.value)
+
+
+def test_check_solves_on_image_tuples():
+    sigma = canonical_sigma(5)
+    tables = _check_tables(sigma, 1, 2)
+    # a solution passes, and so does every tuple of the trivial equation
+    _check_solves((1, 3, 5, 2, 4), *tables, 1, 2)
+    _check_solves((2, 1, 3), *_check_tables(canonical_sigma(3), 3, 3), 3, 3)
+    # a bijection that fails sigma * xi == xi * sigma^2
+    with pytest.raises(RuntimeError, match="^constructed .* fails sigma"):
+        _check_solves((1, 2, 3, 4, 5), *tables, 1, 2)
+    # non-bijections: nothing but the bijection is tested for k == n, and
+    # (1, 1, 3, 3) satisfies sigma^2 * xi == xi * sigma^2 at n = 4
+    sig_2 = power(canonical_sigma(4), 2)
+    assert tuple(sig_2(v) for v in (1, 1, 3, 3)) == (3, 3, 1, 1)
+    assert tuple((1, 1, 3, 3)[v - 1] for v in sig_2.images) == (3, 3, 1, 1)
+    for n, k, l, xi in [(3, 3, 3, (1, 1, 3)), (4, 2, 2, (1, 1, 3, 3)),
+                        (3, 3, 3, (1, 2)), (3, 3, 3, (1, 2, 3, 4)),
+                        (3, 3, 3, (0, 1, 2))]:
+        with pytest.raises(RuntimeError, match="^constructed .* not a bijection"):
+            _check_solves(xi, *_check_tables(canonical_sigma(n), k, l), k, l)
 
 
 def test_scaling_closure():

@@ -120,6 +120,35 @@ def test_independent_of_sigma_choice():
         assert sigma_independence_check(n)
 
 
+def test_independence_check_takes_the_shift_report(monkeypatch):
+    # a report handed in as base gives the same answer without a second
+    # walk of the shift, and it is really the one compared against
+    import cycleq.oracle as oracle
+    for n in range(1, 8):
+        base = enumerate_classes(n)
+        assert sigma_independence_check(n, base=base) == sigma_independence_check(n)
+    walks = []
+    real = oracle.enumerate_classes
+
+    def recording(n, sigma=None, bound=DEFAULT_BOUND, with_classes=False):
+        walks.append(sigma)
+        return real(n, sigma, bound, with_classes)
+
+    monkeypatch.setattr(oracle, "enumerate_classes", recording)
+    base = real(6)
+    assert sigma_independence_check(6, base=base)
+    assert len(walks) == 4 and walks[0] == inverse(canonical_sigma(6))
+    walks.clear()
+    assert sigma_independence_check(6)
+    assert len(walks) == 5 and walks[0] == canonical_sigma(6)
+    doctored = ClassReport(6, base.sigma, base.class_count + 1, base.size_histogram)
+    assert not sigma_independence_check(6, base=doctored)
+    with pytest.raises(ValueError):
+        sigma_independence_check(6, base=real(5))
+    with pytest.raises(ValueError):
+        sigma_independence_check(5, base=real(5, inverse(canonical_sigma(5))))
+
+
 def test_sigma_can_be_injected():
     # an explicit non-canonical full cycle gives the same class structure
     sigma = Permutation((3, 1, 4, 5, 2))  # the cycle (1 3 4 5 2)
