@@ -18,7 +18,7 @@ n = 12
 g = build_gamma(n)
 
 by_k = defaultdict(list)
-for v in sorted(g.vertices):
+for v in g.vertices:  # ascending (k,l), as build_gamma lists them
     by_k[v.k].append(v.l)
 
 print("Gamma_%d has %d vertices:" % (n, len(g.vertices)))
@@ -30,14 +30,14 @@ print()
 
 print("%d arcs; each multiplies both coordinates by a prime dividing n:"
       % len(g.arcs))
-for a, b in sorted(g.arcs):
+for a, b in g.arcs:
     p = b.k // a.k
     print("  <%d,%d> -> <%d,%d>   (times %d)" % (a.k, a.l, b.k, b.l, p))
 print()
 
 # Path order: u precedes v when some directed path joins them. The sink
 # <n,n> is reachable from everything else.
-sink = max(g.vertices)
+sink = g.vertices[-1]
 reachable = sum(1 for v in g.vertices if v != sink and precedes(g, v, sink))
 print("vertices strictly below the sink:", reachable, "of", len(g.vertices) - 1)
 print()

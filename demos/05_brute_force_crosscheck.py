@@ -38,7 +38,7 @@ n = 6
 g = build_gamma(n)
 print("solution counts over n=%d, formula vs scanning all %d permutations:"
       % (n, factorial(n)))
-for v in sorted(g.vertices):
+for v in g.vertices:
     if v.k == n:
         continue
     brute = count_equation_solutions(n, v.k, v.l)

@@ -1,11 +1,12 @@
 """The oriented divisor graph that organizes the class families.
 
 Vertices are pairs <k,l> where k divides n and l encodes the right-hand
-exponent attached to k: for k < n, l is a multiple of k below n whose
-cofactor l/k is coprime to n/k, and the unique maximal vertex is <n,n>.
-Construction starts from the seeds <1,l> with GCD(l,n) = 1 and repeatedly
-multiplies both coordinates by a prime divisor p of n while k*p still
-divides n, reducing the second coordinate into {1..n} (zero written as n).
+exponent attached to k: for k < n, l = k*u for a unit u modulo n/k, and the
+unique maximal vertex is <n,n>. An arc multiplies both coordinates by a prime
+p dividing n/k, reducing the second coordinate into {1..n} (zero written as
+n). build_gamma lists both straight from that description, in ascending
+order, without searching: divisors k ascending, units u ascending under
+each k, and each vertex's arcs by ascending p.
 
 A directed path of length at least one is the strict order the counting
 recursion sums over. Each arc multiplies both coordinates by a prime, so a
@@ -17,13 +18,12 @@ build it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
 from .counting import _tau
-from .zn_ring import prime_factors, residue, totient
+from .zn_ring import divisors, prime_factors, residue, totient
 
 __all__ = [
     "GammaGraph",
@@ -46,43 +46,55 @@ class Vertex(NamedTuple):
 
 @dataclass(frozen=True)
 class GammaGraph:
+    """The graph for modulus n. vertices is a tuple in ascending (k,l) order
+    and arcs a tuple of (source, target) pairs in ascending order, so an
+    `in` test on either is a linear scan."""
+
     n: int
-    vertices: frozenset[Vertex]
-    arcs: frozenset[tuple[Vertex, Vertex]]
+    vertices: tuple[Vertex, ...]
+    arcs: tuple[tuple[Vertex, Vertex], ...]
 
 
 def build_gamma(n: int) -> GammaGraph:
-    """Saturate the graph for modulus n from its coprime seed vertices."""
+    """List the graph for modulus n, vertices and arcs in ascending order."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n == 1:
-        v = Vertex(1, 1)
-        return GammaGraph(1, frozenset([v]), frozenset())
-
+    # rows[k] maps l to the vertex <k,l>; arcs look their targets up here
+    # instead of building a second Vertex for each one
+    rows = {}
+    for k in divisors(n):
+        m = n // k
+        if m == 1:
+            rows[k] = {n: Vertex(n, n)}
+        else:
+            rows[k] = {k * u: Vertex(k, k * u)
+                       for u in range(1, m) if gcd(u, m) == 1}
     primes = prime_factors(n)
-    seeds = [Vertex(1, l) for l in range(1, n) if gcd(l, n) == 1]
-    vertices = set(seeds)
-    arcs = set()
-    work = list(seeds)
-    while work:
-        v = work.pop()
-        for p in primes:
-            kp = v.k * p
-            if n % kp:
-                continue
-            w = Vertex(kp, residue(v.l * p, n))
-            if w not in vertices:
-                vertices.add(w)
-                work.append(w)
-            arcs.add((v, w))
-    return GammaGraph(n, frozenset(vertices), frozenset(arcs))
+    arcs = []
+    for k, row in rows.items():
+        # k*p grows with p, so ascending p keeps each vertex's arcs sorted
+        steps = [(p, rows[k * p]) for p in primes if (n // k) % p == 0]
+        for l, v in row.items():
+            for p, targets in steps:
+                arcs.append((v, targets[residue(l * p, n)]))
+    vertices = tuple(v for row in rows.values() for v in row.values())
+    return GammaGraph(n, vertices, tuple(arcs))
+
+
+def _is_vertex(n: int, v: Vertex) -> bool:
+    """<k,l> is <n,n>, or k | n, k < n and l = k*u with u a unit mod n/k."""
+    k, l = v
+    if k == n:
+        return l == n
+    return (1 <= k and n % k == 0 and 1 <= l < n and l % k == 0
+            and gcd(l // k, n // k) == 1)
 
 
 def precedes(g: GammaGraph, a: Vertex, b: Vertex) -> bool:
     """Strict order: a directed path of length >= 1 from a to b exists."""
-    if a not in g.vertices:
+    if not _is_vertex(g.n, a):
         raise ValueError(f"{a} is not a vertex of the graph for n={g.n}")
-    if b not in g.vertices:
+    if not _is_vertex(g.n, b):
         raise ValueError(f"{b} is not a vertex of the graph for n={g.n}")
     return a.k < b.k and b.k % a.k == 0 and residue(a.l * (b.k // a.k), g.n) == b.l
 
@@ -98,19 +110,18 @@ def tau(g: GammaGraph, k: int, r: int) -> int:
 
 def export_dot(g: GammaGraph) -> str:
     """Graphviz text, vertices and arcs in ascending (k,l) order."""
+    name = {v: f"{v.k},{v.l}" for v in g.vertices}
     lines = [f"digraph gamma_{g.n} {{"]
-    for v in sorted(g.vertices):
-        lines.append(f'    "{v.k},{v.l}" [label="<{v.k},{v.l}>"];')
-    for a, b in sorted(g.arcs):
-        lines.append(f'    "{a.k},{a.l}" -> "{b.k},{b.l}";')
+    lines += [f'    "{s}" [label="<{s}>"];' for s in name.values()]
+    lines += [f'    "{name[a]}" -> "{name[b]}";' for a, b in g.arcs]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_json(g: GammaGraph) -> str:
-    doc = {
-        "n": g.n,
-        "vertices": [[v.k, v.l] for v in sorted(g.vertices)],
-        "arcs": [[[a.k, a.l], [b.k, b.l]] for a, b in sorted(g.arcs)],
-    }
-    return json.dumps(doc)
+    """{"n": n, "vertices": [[k, l], ...], "arcs": [[[k, l], [k', l']], ...]}
+    in ascending order, byte for byte what json.dumps writes for it."""
+    item = {v: f"[{v.k}, {v.l}]" for v in g.vertices}
+    vertices = ", ".join(item.values())
+    arcs = ", ".join([f"[{item[a]}, {item[b]}]" for a, b in g.arcs])
+    return f'{{"n": {g.n}, "vertices": [{vertices}], "arcs": [{arcs}]}}'

@@ -10,6 +10,7 @@ violation. Output is byte-deterministic for a fixed command line and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -208,7 +209,7 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
         return (f"size histogram {report.size_histogram} "
                 f"differs from predicted {predicted}")
     g = build_gamma(n)
-    for v in sorted(g.vertices):
+    for v in g.vertices:
         if v.k == n:
             continue
         expected = p_count(n, v.k)
@@ -248,6 +249,25 @@ _DISPATCH = {
 }
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to a new file beside path, then rename it onto path, so
+    path ends up with all of text or stays as it was. An existing path is
+    replaced by the new file, not written through."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException as e:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            # report the path that was asked for, not the temporary file
+            raise OSError(e.errno, e.strerror, path) from e
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -273,8 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     if cfg.output:
         try:
-            with open(cfg.output, "w") as fh:
-                fh.write(text)
+            _write_atomic(cfg.output, text)
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE

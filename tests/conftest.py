@@ -1,13 +1,15 @@
 import itertools
+import json
 from collections import Counter, deque
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
-from cycleq.class_graph import Vertex, build_gamma
+from cycleq.class_graph import GammaGraph, Vertex, build_gamma
 from cycleq.equation_solver import _require_cycle, min_left_exponent
 from cycleq.oracle import DEFAULT_BOUND, ClassReport, _check_bound
 from cycleq.permutation import Permutation, canonical_sigma, power
+from cycleq.zn_ring import prime_factors, residue
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +21,69 @@ def gamma():
         if n not in cache:
             cache[n] = build_gamma(n)
         return cache[n]
+
+    return get
+
+
+def build_gamma_by_closure(n: int) -> GammaGraph:
+    """Saturate the graph for modulus n from its coprime seed vertices <1,l>,
+    multiplying by every prime p with k*p | n until nothing new appears, and
+    return frozensets. The reference for class_graph.build_gamma."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if n == 1:
+        v = Vertex(1, 1)
+        return GammaGraph(1, frozenset([v]), frozenset())
+
+    primes = prime_factors(n)
+    seeds = [Vertex(1, l) for l in range(1, n) if gcd(l, n) == 1]
+    vertices = set(seeds)
+    arcs = set()
+    work = list(seeds)
+    while work:
+        v = work.pop()
+        for p in primes:
+            kp = v.k * p
+            if n % kp:
+                continue
+            w = Vertex(kp, residue(v.l * p, n))
+            if w not in vertices:
+                vertices.add(w)
+                work.append(w)
+            arcs.add((v, w))
+    return GammaGraph(n, frozenset(vertices), frozenset(arcs))
+
+
+def export_dot_by_sorting(g) -> str:
+    """Graphviz text from sorted vertices and arcs. The reference for
+    class_graph.export_dot."""
+    lines = [f"digraph gamma_{g.n} {{"]
+    for v in sorted(g.vertices):
+        lines.append(f'    "{v.k},{v.l}" [label="<{v.k},{v.l}>"];')
+    for a, b in sorted(g.arcs):
+        lines.append(f'    "{a.k},{a.l}" -> "{b.k},{b.l}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def export_json_by_dumps(g) -> str:
+    """json.dumps of the sorted vertices and arcs. The reference for
+    class_graph.export_json."""
+    doc = {
+        "n": g.n,
+        "vertices": [[v.k, v.l] for v in sorted(g.vertices)],
+        "arcs": [[[a.k, a.l], [b.k, b.l]] for a, b in sorted(g.arcs)],
+    }
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="session")
+def gamma_by_closure():
+    """n -> (the closure's graph, its sorted DOT text, its json.dumps text)."""
+
+    def get(n):
+        g = build_gamma_by_closure(n)
+        return g, export_dot_by_sorting(g), export_json_by_dumps(g)
 
     return get
 

@@ -70,6 +70,28 @@ def test_precedes_rejects_foreign_vertices():
         precedes(g, Vertex(5, 5), Vertex(12, 12))
     with pytest.raises(ValueError):
         precedes(g, Vertex(1, 1), Vertex(5, 5))
+    # k divides n but l does not fit: gcd(2, 6) != 1, l = n below the sink,
+    # the sink with l != n, and l = 0
+    for foreign in (Vertex(2, 4), Vertex(3, 12), Vertex(12, 5), Vertex(4, 0)):
+        with pytest.raises(ValueError):
+            precedes(g, foreign, Vertex(12, 12))
+        with pytest.raises(ValueError):
+            precedes(g, Vertex(1, 1), foreign)
+
+
+def test_precedes_accepts_exactly_the_vertices_up_to_40():
+    for n in range(1, 41):
+        g = build_gamma(n)
+        members = set(g.vertices)
+        sink = Vertex(n, n)
+        for k in range(-1, n + 2):
+            for l in range(-k - 1, n + 2):
+                v = Vertex(k, l)
+                if v in members:
+                    assert precedes(g, v, sink) == (v != sink)
+                else:
+                    with pytest.raises(ValueError):
+                        precedes(g, v, sink)
 
 
 def test_tau_examples():
@@ -155,6 +177,19 @@ def test_tau_and_precedes_match_the_graph_up_to_120(gamma, reach, tau_by_scan):
         for a in g.vertices:
             for b in g.vertices:
                 assert precedes(g, a, b) == (b in below[a]), (n, a, b)
+
+
+def test_build_and_exports_match_the_closure_reference(gamma_by_closure):
+    # ascending tuples built from the arithmetic against the saturated
+    # frozensets, sorted; the exports byte for byte against sorting and
+    # json.dumps
+    for n in [*range(1, 401), 5040]:
+        g = build_gamma(n)
+        ref, dot, doc = gamma_by_closure(n)
+        assert g.vertices == tuple(sorted(ref.vertices)), n
+        assert g.arcs == tuple(sorted(ref.arcs)), n
+        assert export_dot(g) == dot, n
+        assert export_json(g) == doc, n
 
 
 def test_export_dot_gamma_12():

@@ -297,6 +297,24 @@ def test_solve_golden_digests(capsys, argv, digest, size):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest, size", [
+    (["graph", "12"],
+     "d7714e200472373ad84836108d5dc5d6389bd77dc07bb2de47e409c9265eb49e", 705),
+    (["graph", "5040", "-f", "dot"],
+     "cc2b2ff70e327d8fb55692c7f2fb5dec74c7d5ffcad494e1c0df99213a6538a3", 634560),
+    (["graph", "5040", "-f", "json"],
+     "5273e3e19e59267d81e9fd9d0f0b7e38c76f2c27d0e65d834aeae25743e47ebe", 487828),
+])
+def test_graph_golden_digests(capsys, argv, digest, size):
+    # the whole exports, pinned by length and sha256 of stdout as the
+    # saturating builder and its sorted, json.dumps exports wrote them
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_solve_invalid_pair(capsys):
     code, out, err = run(["solve", "6", "1", "2"], capsys)
     assert code == 2
@@ -393,6 +411,11 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "3326788\n"
+    # an existing PATH is replaced whole, with no temporary file left over
+    target.write_text("a longer old content\n")
+    assert run(["compute", "12", "-o", str(target)], capsys) == (0, "", "")
+    assert target.read_text() == "3326788\n"
+    assert os.listdir(tmp_path) == ["count.txt"]
 
 
 def test_output_file_graph(capsys, tmp_path):
@@ -444,6 +467,56 @@ def test_output_file_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_output_file_failure_mid_write(capsys, monkeypatch, tmp_path, existing):
+    # a write that fails halfway leaves an existing PATH as it was, creates
+    # no PATH otherwise, and leaves no temporary file behind
+    target = tmp_path / "gamma.dot"
+    if existing:
+        target.write_text("old\n")
+    real_open = open
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **kw: HalfWrite(real_open(*a, **kw)),
+                        raising=False)
+    code, out, err = run(["graph", "12", "-o", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: [Errno 28] No space left on device\n"
+    if existing:
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["gamma.dot"]
+    else:
+        assert os.listdir(tmp_path) == []
+
+
+def test_output_file_onto_directory(capsys, tmp_path):
+    # the rename onto PATH fails: the temporary file goes, the message names
+    # PATH
+    target = tmp_path / "out"
+    target.mkdir()
+    code, out, err = run(["compute", "12", "-o", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
+    assert os.listdir(tmp_path) == ["out"]
+    assert os.listdir(target) == []
 
 
 def test_help_exits_clean(capsys):
