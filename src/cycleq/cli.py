@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -249,18 +250,39 @@ _DISPATCH = {
 }
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to a new file beside path, then rename it onto path, so
-    path ends up with all of text or stays as it was. An existing path is
-    replaced by the new file, not written through."""
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+def _write_output(path: str, text: str) -> None:
+    """Write text to path. A regular file, or one that does not exist yet,
+    gets a fully written and synced new file beside it that is then renamed
+    onto it, so PATH ends up with all of text or stays as it was; a symbolic
+    link there is followed, not replaced. Anything else -- a device, a FIFO,
+    /dev/stdout -- and a path whose directory takes no new file is opened and
+    written through, as a plain open would."""
     try:
-        with open(tmp, "x") as fh:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if regular:
+        real = os.path.realpath(path)
+        head, tail = os.path.split(real)
+        # a short tail keeps the name within NAME_MAX whenever tail is
+        tmp = os.path.join(
+            head, f".{tail[:200]}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+        try:
+            fh = open(tmp, "x")
+        except OSError:
+            regular = False
+    if not regular:
+        with open(path, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        return
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, real)
     except BaseException as e:
-        with contextlib.suppress(FileNotFoundError):
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
         if isinstance(e, OSError) and e.filename == tmp:
             # report the path that was asked for, not the temporary file
@@ -293,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     if cfg.output:
         try:
-            _write_atomic(cfg.output, text)
+            _write_output(cfg.output, text)
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE

@@ -3,8 +3,10 @@ import hashlib
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -517,6 +519,57 @@ def test_output_file_onto_directory(capsys, tmp_path):
     assert err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
     assert os.listdir(tmp_path) == ["out"]
     assert os.listdir(target) == []
+
+
+def test_output_file_through_symlink(capsys, tmp_path_factory):
+    # a symbolic link at PATH is followed: the file it names gets the
+    # output, the link stays, and neither directory keeps a temporary file
+    outside = tmp_path_factory.mktemp("outside")
+    links = tmp_path_factory.mktemp("links")
+    target = outside / "count.txt"
+    target.write_text("old\n")
+    link = links / "count.txt"
+    link.symlink_to(target)
+    assert run(["compute", "12", "-o", str(link)], capsys) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == "3326788\n"
+    assert os.listdir(outside) == ["count.txt"]
+    assert os.listdir(links) == ["count.txt"]
+
+
+def test_output_file_fifo(capsys, tmp_path):
+    # a FIFO at PATH is written through, not replaced by a regular file
+    fifo = tmp_path / "gamma.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(["graph", "2", "-o", str(fifo)], capsys) == (0, "", "")
+    reader.join(timeout=10)
+    assert received == [GRAPH_2_DOT]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["gamma.fifo"]
+
+
+def test_output_file_long_name(capsys, tmp_path):
+    # a name at NAME_MAX still works: the temporary name is cut to fit
+    target = tmp_path / ("c" * 255)
+    assert run(["compute", "12", "-o", str(target)], capsys) == (0, "", "")
+    assert target.read_text() == "3326788\n"
+    assert os.listdir(tmp_path) == [target.name]
+
+
+def test_output_file_foreign_temporary(capsys, monkeypatch, tmp_path):
+    # a file already at the temporary name belongs to someone else: it is
+    # left alone and PATH is written through instead
+    target = tmp_path / "count.txt"
+    monkeypatch.setattr(cli.os, "urandom", lambda k: b"\0" * k)
+    foreign = tmp_path / f".count.txt.{os.getpid()}.00000000.tmp"
+    foreign.write_text("not ours\n")
+    assert run(["compute", "12", "-o", str(target)], capsys) == (0, "", "")
+    assert target.read_text() == "3326788\n"
+    assert foreign.read_text() == "not ours\n"
 
 
 def test_help_exits_clean(capsys):
