@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Run a fixed list of cycleq commands from two checkouts of this repository
-# and fail unless every command exits 0 under both and prints the same bytes
-# on stdout. Each checkout runs from its own src/.
+# Run fixed lists of cycleq commands from two checkouts of this repository.
+# The first list must exit 0 under both and print the same bytes on stdout.
+# The second list holds failing commands: each must exit non-zero under both,
+# with the same exit status and the same bytes on stdout and stderr. Each
+# checkout runs from its own src/.
 #
 #   scripts/compare_stdout.sh BASE_DIR HEAD_DIR
 set -uo pipefail
@@ -24,15 +26,39 @@ commands=(
   "verify 2 6"
 )
 
+# leading NAME=VALUE words go to the environment
+errors=(
+  "compute 0"
+  "compute x"
+  "table 5 2"
+  "matrix -1"
+  "solve 6 1 2"
+  "solve 4 2 5"
+  "verify 9 9"
+  "verify 2 3 --oracle-bound 2"
+  "CYCLEQ_ORACLE_BOUND=junk verify 2 3"
+)
+
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
+
+# run TREE WORDS...: cycleq from TREE/src with WORDS as its environment and arguments
+run() {
+  local tree=$1 envs=()
+  shift
+  while [ $# -gt 0 ] && [[ $1 == *=* ]]; do
+    envs+=("$1")
+    shift
+  done
+  env PYTHONPATH="$tree/src" ${envs[@]+"${envs[@]}"} python3 -m cycleq "$@" </dev/null
+}
 
 status=0
 for cmd in "${commands[@]}"; do
   for side in base head; do
     tree=${!side}
     # $cmd is split into words on purpose
-    if ! PYTHONPATH="$tree/src" python3 -m cycleq $cmd </dev/null >"$out/$side"; then
+    if ! run "$tree" $cmd >"$out/$side"; then
       echo "FAIL  $cmd (exit status not 0 under $tree)"
       status=1
       continue 2
@@ -42,6 +68,26 @@ for cmd in "${commands[@]}"; do
     echo "same  $cmd"
   else
     echo "DIFF  $cmd"
+    status=1
+  fi
+done
+
+for cmd in "${errors[@]}"; do
+  for side in base head; do
+    tree=${!side}
+    run "$tree" $cmd >"$out/$side" 2>"$out/$side.err"
+    code=$?
+    if [ $code -eq 0 ]; then
+      echo "FAIL  $cmd (exit status 0 under $tree)"
+      status=1
+      continue 2
+    fi
+    echo "exit $code" >>"$out/$side.err"
+  done
+  if cmp -s "$out/base" "$out/head" && cmp -s "$out/base.err" "$out/head.err"; then
+    echo "same  $cmd (stdout, stderr, exit status)"
+  else
+    echo "DIFF  $cmd (stdout, stderr or exit status)"
     status=1
   fi
 done

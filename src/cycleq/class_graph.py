@@ -101,9 +101,9 @@ def precedes(g: GammaGraph, a: Vertex, b: Vertex) -> bool:
 
 def tau(g: GammaGraph, k: int, r: int) -> int:
     """Number of vertices with first coordinate r strictly preceding <k,k>."""
-    if g.n % k:
+    if k < 1 or g.n % k:
         raise ValueError(f"k={k} does not divide n={g.n}")
-    if r >= k or k % r:
+    if not 1 <= r < k or k % r:
         raise ValueError(f"r={r} must be a proper divisor of k={k}")
     return _tau({d: totient(g.n // d) for d in (r, k)}, k, r)
 

@@ -14,7 +14,6 @@ import contextlib
 import os
 import stat
 import sys
-from dataclasses import dataclass
 
 from .class_graph import build_gamma, export_dot, export_json
 from .counting import (
@@ -40,7 +39,7 @@ from .oracle import (
 )
 from .zn_ring import to_decimal
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 ENV_ORACLE_BOUND = "CYCLEQ_ORACLE_BOUND"
 
@@ -50,32 +49,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class CliConfig:
-    command: str
-    n: int = 0
-    n_from: int = 0
-    n_to: int = 0
-    k: int = 0
-    l: int = 0
-    fmt: str = "text"
-    oracle_bound: int = DEFAULT_BOUND
-    seed: int = DEFAULT_SEED
-    output: str | None = None
-
-
 class UsageError(ValueError):
     pass
-
-
-def _env_bound() -> int:
-    raw = os.environ.get(ENV_ORACLE_BOUND)
-    if raw is None:
-        return DEFAULT_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{ENV_ORACLE_BOUND} must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,40 +100,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(ns: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(command=ns.command)
-    cfg.fmt = getattr(ns, "format", "text") or "text"
-    cfg.output = getattr(ns, "output", None)
-    if hasattr(ns, "n"):
-        if ns.n < 1:
-            raise UsageError(f"n must be at least 1, got {ns.n}")
-        cfg.n = ns.n
-    if hasattr(ns, "n_from"):
-        if ns.n_from < 1 or ns.n_to < ns.n_from:
+def _checked(ns: argparse.Namespace) -> argparse.Namespace:
+    """Range-check n or FROM..TO and resolve verify's oracle bound."""
+    if hasattr(ns, "n") and ns.n < 1:
+        raise UsageError(f"n must be at least 1, got {ns.n}")
+    if hasattr(ns, "n_from") and (ns.n_from < 1 or ns.n_to < ns.n_from):
+        raise UsageError(f"need 1 <= FROM <= TO, got {ns.n_from}..{ns.n_to}")
+    if ns.command == "verify" and ns.oracle_bound is None:
+        raw = os.environ.get(ENV_ORACLE_BOUND)
+        try:
+            ns.oracle_bound = DEFAULT_BOUND if raw is None else int(raw)
+        except ValueError:
             raise UsageError(
-                f"need 1 <= FROM <= TO, got {ns.n_from}..{ns.n_to}")
-        cfg.n_from, cfg.n_to = ns.n_from, ns.n_to
-    if hasattr(ns, "k"):
-        cfg.k, cfg.l = ns.k, ns.l
-    if ns.command == "verify":
-        cfg.seed = ns.seed
-        cfg.oracle_bound = ns.oracle_bound if ns.oracle_bound is not None else _env_bound()
-    return cfg
+                f"{ENV_ORACLE_BOUND} must be an integer, got {raw!r}") from None
+    return ns
 
 
-def cmd_compute(cfg: CliConfig) -> tuple[int, str]:
-    total = to_decimal(q_count(cfg.n))
-    if cfg.fmt == "json":
-        return EXIT_OK, f'{{"n": {cfg.n}, "classes": "{total}"}}\n'
+def cmd_compute(ns: argparse.Namespace) -> tuple[int, str]:
+    total = to_decimal(q_count(ns.n))
+    if ns.format == "json":
+        return EXIT_OK, f'{{"n": {ns.n}, "classes": "{total}"}}\n'
     return EXIT_OK, f"{total}\n"
 
 
-def cmd_table(cfg: CliConfig) -> tuple[int, str]:
-    rows = [(n, to_decimal(q_count(n))) for n in range(cfg.n_from, cfg.n_to + 1)]
-    if cfg.fmt == "csv":
+def cmd_table(ns: argparse.Namespace) -> tuple[int, str]:
+    rows = [(n, to_decimal(q_count(n))) for n in range(ns.n_from, ns.n_to + 1)]
+    if ns.format == "csv":
         lines = ["n,classes"] + [f"{n},{c}" for n, c in rows]
         return EXIT_OK, "\n".join(lines) + "\n"
-    if cfg.fmt == "json":
+    if ns.format == "json":
         body = ", ".join(f'{{"n": {n}, "classes": "{c}"}}' for n, c in rows)
         return EXIT_OK, f"[{body}]\n"
     wn = max(len("n"), max(len(str(n)) for n, _ in rows))
@@ -168,33 +138,33 @@ def cmd_table(cfg: CliConfig) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_matrix(cfg: CliConfig) -> tuple[int, str]:
-    table = count_table(cfg.n)
-    if cfg.fmt == "json":
+def cmd_matrix(ns: argparse.Namespace) -> tuple[int, str]:
+    table = count_table(ns.n)
+    if ns.format == "json":
         return EXIT_OK, table.to_json() + "\n"
     return EXIT_OK, table.to_text()
 
 
-def cmd_graph(cfg: CliConfig) -> tuple[int, str]:
-    g = build_gamma(cfg.n)
-    if cfg.fmt == "json":
+def cmd_graph(ns: argparse.Namespace) -> tuple[int, str]:
+    g = build_gamma(ns.n)
+    if ns.format == "json":
         return EXIT_OK, export_json(g) + "\n"
     return EXIT_OK, export_dot(g)
 
 
-def cmd_solve(cfg: CliConfig) -> tuple[int, str]:
+def cmd_solve(ns: argparse.Namespace) -> tuple[int, str]:
     try:
-        inst = EquationInstance(cfg.n, cfg.k, cfg.l)
+        inst = EquationInstance(ns.n, ns.k, ns.l)
     except ValueError as e:  # exponents outside 1..n
         raise UsageError(str(e)) from e
     # one format for every row, applied to each checked image tuple: the
     # bytes of one_line in text and of str(list(images)) in json
-    sep = ", " if cfg.fmt == "json" else " "
-    row = "[" + sep.join(["%s"] * cfg.n) + "]"
+    sep = ", " if ns.format == "json" else " "
+    row = "[" + sep.join(["%s"] * ns.n) + "]"
     rows = list(map(row.__mod__, solution_images(inst)))
-    if cfg.fmt == "json":
+    if ns.format == "json":
         body = ", ".join(rows)
-        return EXIT_OK, (f'{{"n": {cfg.n}, "k": {cfg.k}, "l": {cfg.l}, '
+        return EXIT_OK, (f'{{"n": {ns.n}, "k": {ns.k}, "l": {ns.l}, '
                          f'"count": {len(rows)}, "solutions": [{body}]}}\n')
     return EXIT_OK, f"count={len(rows)}\n" + "\n".join(rows) + "\n"
 
@@ -227,11 +197,11 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
     return None
 
 
-def cmd_verify(cfg: CliConfig) -> tuple[int, str]:
+def cmd_verify(ns: argparse.Namespace) -> tuple[int, str]:
     lines = []
     code = EXIT_OK
-    for n in range(cfg.n_from, cfg.n_to + 1):
-        problem = _verify_one(n, cfg.oracle_bound, cfg.seed)
+    for n in range(ns.n_from, ns.n_to + 1):
+        problem = _verify_one(n, ns.oracle_bound, ns.seed)
         if problem is None:
             lines.append(f"n={n} PASS")
         else:
@@ -297,8 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:  # argparse already printed the message
         return int(e.code or 0)
     try:
-        cfg = _config(ns)
-        code, text = _DISPATCH[cfg.command](cfg)
+        code, text = _DISPATCH[ns.command](_checked(ns))
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -313,9 +282,9 @@ def main(argv: list[str] | None = None) -> int:
         # its own equation: a bug in cycleq, not in the request
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    if cfg.output:
+    if ns.output:
         try:
-            _write_output(cfg.output, text)
+            _write_output(ns.output, text)
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE

@@ -49,11 +49,15 @@ class InvalidParameters(ValueError):
     """(k, l) is not a valid solution family; carries the failed condition."""
 
 
-def _require_cycle(n: int, sigma: Permutation) -> None:
+def _require_cycle(n: int, sigma: Permutation | None) -> Permutation:
+    """sigma, or the shift when it is None, checked to be a full cycle of degree n."""
+    if sigma is None:
+        return canonical_sigma(n)
     if sigma.degree != n:
         raise ValueError(f"sigma has degree {sigma.degree}, expected {n}")
     if n > 1 and not is_full_cycle(sigma):
         raise ValueError(f"sigma must be a full cycle, got {sigma}")
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -71,9 +75,7 @@ class EquationInstance:
         if not (1 <= self.k <= self.n and 1 <= self.l <= self.n):
             raise ValueError(
                 f"exponents must lie in 1..{self.n}, got k={self.k}, l={self.l}")
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", canonical_sigma(self.n))
-        _require_cycle(self.n, self.sigma)
+        object.__setattr__(self, "sigma", _require_cycle(self.n, self.sigma))
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,7 @@ class BlockPartition:
 def block_partition(n: int, k: int, sigma: Permutation | None = None) -> BlockPartition:
     if n < 1 or k < 1 or n % k:
         raise ValueError(f"k={k} must be a divisor of n={n}")
-    sigma = canonical_sigma(n) if sigma is None else sigma
-    _require_cycle(n, sigma)
+    sigma = _require_cycle(n, sigma)
     sig_k = power(sigma, k)
     covered = [False] * (n + 1)
     blocks, anchors = [], []
@@ -155,8 +156,7 @@ def solve_base(n: int, l: int, a: int, sigma: Permutation | None = None) -> Perm
         raise ValueError(f"l must be positive, got {l}")
     if not 1 <= a <= n:
         raise ValueError(f"anchor a={a} outside 1..{n}")
-    sigma = canonical_sigma(n) if sigma is None else sigma
-    _require_cycle(n, sigma)
+    sigma = _require_cycle(n, sigma)
     if gcd(l, n) != 1:
         raise NoSolution(
             f"sigma * xi == xi * sigma^{l} unsolvable in S_{n}: "
@@ -181,6 +181,8 @@ def check_parameters(n: int, k: int, l: int) -> str | None:
     s*k mod n for some s coprime to n, which holds exactly when
     GCD(l/k, n/k) == 1.
     """
+    if n < 1:
+        return f"need n >= 1, got n={n}"
     if k == n and l == n:
         return None
     if not (1 <= k <= l < n):
@@ -254,8 +256,7 @@ def min_left_exponent(xi: Permutation,
     no such pair exists, which is the relation-free case.
     """
     n = xi.degree
-    sigma = canonical_sigma(n) if sigma is None else sigma
-    _require_cycle(n, sigma)
+    sigma = _require_cycle(n, sigma)
     pow_sigma = [identity(n)]
     for _ in range(n - 1):
         pow_sigma.append(compose(pow_sigma[-1], sigma))

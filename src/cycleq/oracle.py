@@ -39,6 +39,7 @@ __all__ = [
 
 DEFAULT_BOUND = 8
 DEFAULT_SEED = 1729
+_CONJUGATES = 3
 
 
 class BoundExceeded(ValueError):
@@ -93,8 +94,7 @@ def enumerate_classes(n: int,
     Each is met in the slice xi(1) = 1 and counted at its least member.
     """
     _check_bound(n, bound)
-    sigma = canonical_sigma(n) if sigma is None else sigma
-    _require_cycle(n, sigma)
+    sigma = _require_cycle(n, sigma)
 
     # 0-based for the hot loop: powers[a][i] is sigma^a(i), and
     # powers[to_zero[v]] sends v to 0
@@ -141,8 +141,7 @@ def count_equation_solutions(n: int, k: int, l: int,
     _check_bound(n, bound)
     if k < 1 or l < 1:
         raise ValueError(f"exponents must be positive, got k={k}, l={l}")
-    sigma = canonical_sigma(n) if sigma is None else sigma
-    _require_cycle(n, sigma)
+    sigma = _require_cycle(n, sigma)
     sig_k = tuple(v - 1 for v in power(sigma, k).images)
     sig_l = tuple(v - 1 for v in power(sigma, l).images)
     # point 0 first, then whole one-line tuples: sigma^k * x sends i to
@@ -168,13 +167,12 @@ def _random_full_cycle_conjugate(n: int, sigma: Permutation,
 
 
 def sigma_independence_check(n: int,
-                             samples: int = 3,
                              seed: int = DEFAULT_SEED,
                              bound: int = DEFAULT_BOUND,
                              base: ClassReport | None = None) -> bool:
     """Class count and histogram agree for several choices of full cycle.
 
-    Candidates are the canonical shift, its inverse, and `samples` seeded
+    Candidates are the canonical shift, its inverse, and _CONJUGATES seeded
     random conjugates of the shift. `base` is the report for the canonical
     shift when the caller has already walked it; by default it is walked
     here.
@@ -188,7 +186,7 @@ def sigma_independence_check(n: int,
     rng = random.Random(seed)
     candidates = [inverse(shift)]
     candidates += [_random_full_cycle_conjugate(n, shift, rng)
-                   for _ in range(samples)]
+                   for _ in range(_CONJUGATES)]
     for cand in candidates:
         report = enumerate_classes(n, cand, bound=bound)
         if (report.class_count != base.class_count

@@ -43,6 +43,8 @@ class Permutation:
         n = len(images)
         if n < 1:
             raise ValueError("a permutation needs degree at least 1")
+        if {*map(type, images)} != {int}:  # 1.0 and True sort like 1
+            raise ValueError(f"images must be ints, got {list(images)}")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {list(images)}")
 

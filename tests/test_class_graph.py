@@ -110,6 +110,10 @@ def test_tau_preconditions():
         tau(g, 4, 3)     # r must divide k
     with pytest.raises(ValueError):
         tau(g, 4, 4)     # r must be proper
+    with pytest.raises(ValueError):
+        tau(g, 0, 1)     # k must be positive
+    with pytest.raises(ValueError):
+        tau(g, 4, 0)     # r must be positive
 
 
 def test_structure_invariants_up_to_200(gamma, reach):

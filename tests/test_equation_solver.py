@@ -130,6 +130,9 @@ def test_check_parameters_diagnostics():
     assert "1 <= k <= l" in check_parameters(8, 4, 2)
     assert check_parameters(6, 1, 5) is None
     assert check_parameters(12, 2, 10) is None
+    # n < 1 is refused before the k == l == n shortcut
+    assert "n >= 1" in check_parameters(0, 0, 0)
+    assert "n >= 1" in check_parameters(-3, -3, -3)
 
 
 def test_coprime_multiplier_condition_equals_cofactor_coprimality():

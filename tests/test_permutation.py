@@ -131,6 +131,11 @@ def test_validation():
         Permutation(())
     with pytest.raises(ValueError):
         compose(identity(3), identity(4))
+    # floats and bools sort like the ints they equal
+    with pytest.raises(ValueError):
+        Permutation((1.0, 2.0))
+    with pytest.raises(ValueError):
+        Permutation((True, 2))
 
 
 def test_images_stored_as_tuple():
