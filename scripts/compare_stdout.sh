@@ -23,7 +23,14 @@ commands=(
   "matrix 2520 -f json"
   "table 2 400 -f csv"
   "solve 9 3 3 -f json"
+  "solve 9 9 9"
+  "solve 9 9 9 -f json"
+  "solve 10 5 5"
+  "solve 12 4 4 -f json"
+  "solve 1 1 1"
+  "solve 8 8 8 -o /dev/stdout"
   "verify 2 6"
+  "verify 2 7"
 )
 
 # leading NAME=VALUE words go to the environment

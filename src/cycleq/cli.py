@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import stat
 import sys
+from collections.abc import Iterable, Iterator
 
 from .class_graph import build_gamma, export_dot, export_json
 from .counting import (
@@ -27,7 +29,7 @@ from .equation_solver import (
     EquationInstance,
     InvalidParameters,
     NoSolution,
-    solution_images,
+    solution_chunks,
 )
 from .oracle import (
     DEFAULT_BOUND,
@@ -116,57 +118,77 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
     return ns
 
 
-def cmd_compute(ns: argparse.Namespace) -> tuple[int, str]:
+def cmd_compute(ns: argparse.Namespace) -> tuple[int, list[str]]:
     total = to_decimal(q_count(ns.n))
     if ns.format == "json":
-        return EXIT_OK, f'{{"n": {ns.n}, "classes": "{total}"}}\n'
-    return EXIT_OK, f"{total}\n"
+        return EXIT_OK, [f'{{"n": {ns.n}, "classes": "{total}"}}\n']
+    return EXIT_OK, [f"{total}\n"]
 
 
-def cmd_table(ns: argparse.Namespace) -> tuple[int, str]:
+def cmd_table(ns: argparse.Namespace) -> tuple[int, list[str]]:
     rows = [(n, to_decimal(q_count(n))) for n in range(ns.n_from, ns.n_to + 1)]
     if ns.format == "csv":
         lines = ["n,classes"] + [f"{n},{c}" for n, c in rows]
-        return EXIT_OK, "\n".join(lines) + "\n"
+        return EXIT_OK, ["\n".join(lines) + "\n"]
     if ns.format == "json":
         body = ", ".join(f'{{"n": {n}, "classes": "{c}"}}' for n, c in rows)
-        return EXIT_OK, f"[{body}]\n"
+        return EXIT_OK, [f"[{body}]\n"]
     wn = max(len("n"), max(len(str(n)) for n, _ in rows))
     wc = max(len("classes"), max(len(c) for _, c in rows))
     lines = ["n".rjust(wn) + "  " + "classes".rjust(wc)]
     lines += [str(n).rjust(wn) + "  " + c.rjust(wc) for n, c in rows]
-    return EXIT_OK, "\n".join(lines) + "\n"
+    return EXIT_OK, ["\n".join(lines) + "\n"]
 
 
-def cmd_matrix(ns: argparse.Namespace) -> tuple[int, str]:
+def cmd_matrix(ns: argparse.Namespace) -> tuple[int, list[str]]:
     table = count_table(ns.n)
     if ns.format == "json":
-        return EXIT_OK, table.to_json() + "\n"
-    return EXIT_OK, table.to_text()
+        return EXIT_OK, [table.to_json() + "\n"]
+    return EXIT_OK, [table.to_text()]
 
 
-def cmd_graph(ns: argparse.Namespace) -> tuple[int, str]:
+def cmd_graph(ns: argparse.Namespace) -> tuple[int, list[str]]:
     g = build_gamma(ns.n)
     if ns.format == "json":
-        return EXIT_OK, export_json(g) + "\n"
-    return EXIT_OK, export_dot(g)
+        return EXIT_OK, [export_json(g) + "\n"]
+    return EXIT_OK, [export_dot(g)]
 
 
-def cmd_solve(ns: argparse.Namespace) -> tuple[int, str]:
+def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
     try:
         inst = EquationInstance(ns.n, ns.k, ns.l)
     except ValueError as e:  # exponents outside 1..n
         raise UsageError(str(e)) from e
-    # one format for every row, applied to each checked image tuple: the
-    # bytes of one_line in text and of str(list(images)) in json
-    sep = ", " if ns.format == "json" else " "
-    row = "[" + sep.join(["%s"] * ns.n) + "]"
-    rows = list(map(row.__mod__, solution_images(inst)))
+    chunks = solution_chunks(inst)
+    # an invalid pair, or a failed check of the first chunk, raises here,
+    # before the first byte is written
+    first = next(chunks, [])
+    count = p_count(ns.n, ns.k)
+    # one format per chunk, m copies of the row format applied to the m
+    # checked image tuples at once: the bytes of one_line in text and of
+    # str(list(images)) in json
     if ns.format == "json":
-        body = ", ".join(rows)
-        return EXIT_OK, (f'{{"n": {ns.n}, "k": {ns.k}, "l": {ns.l}, '
-                         f'"count": {len(rows)}, "solutions": [{body}]}}\n')
-    return EXIT_OK, f"count={len(rows)}\n" + "\n".join(rows) + "\n"
+        row, joiner = "[" + ", ".join(["%s"] * ns.n) + "]", ", "
+        head = (f'{{"n": {ns.n}, "k": {ns.k}, "l": {ns.l}, '
+                f'"count": {count}, "solutions": [')
+        tail = "]}\n"
+    else:
+        row, joiner = "[" + " ".join(["%s"] * ns.n) + "]\n", ""
+        head, tail = f"count={count}\n", ""
+
+    def pieces() -> Iterator[str]:
+        lead, listed = head, 0
+        for chunk in itertools.chain([first], chunks):
+            listed += len(chunk)
+            yield lead + (joiner.join([row] * len(chunk))
+                          % tuple(itertools.chain.from_iterable(chunk)))
+            lead = joiner
+        if listed != count:
+            raise RuntimeError(f"constructed {listed} solutions of "
+                               f"(n={ns.n}, k={ns.k}, l={ns.l}), expected {count}")
+        yield tail
+
+    return EXIT_OK, pieces()
 
 
 def _verify_one(n: int, bound: int, seed: int) -> str | None:
@@ -188,7 +210,7 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
         if got != expected:
             return (f"equation (k={v.k}, l={v.l}) has {got} solutions, "
                     f"formula says {expected}")
-        listed = sum(1 for _ in solution_images(EquationInstance(n, v.k, v.l)))
+        listed = sum(map(len, solution_chunks(EquationInstance(n, v.k, v.l))))
         if listed != expected:
             return (f"enumerator produced {listed} solutions for "
                     f"(k={v.k}, l={v.l}), formula says {expected}")
@@ -197,7 +219,7 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
     return None
 
 
-def cmd_verify(ns: argparse.Namespace) -> tuple[int, str]:
+def cmd_verify(ns: argparse.Namespace) -> tuple[int, list[str]]:
     lines = []
     code = EXIT_OK
     for n in range(ns.n_from, ns.n_to + 1):
@@ -207,7 +229,7 @@ def cmd_verify(ns: argparse.Namespace) -> tuple[int, str]:
         else:
             lines.append(f"n={n} FAIL: {problem}")
             code = EXIT_FAIL
-    return code, "\n".join(lines) + "\n"
+    return code, ["\n".join(lines) + "\n"]
 
 
 _DISPATCH = {
@@ -220,11 +242,12 @@ _DISPATCH = {
 }
 
 
-def _write_output(path: str, text: str) -> None:
-    """Write text to path. A regular file, or one that does not exist yet,
-    gets a fully written and synced new file beside it that is then renamed
-    onto it, so PATH ends up with all of text or stays as it was; a symbolic
-    link there is followed, not replaced. Anything else -- a device, a FIFO,
+def _write_output(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces to path, each as it comes. A regular file, or one
+    that does not exist yet, gets a fully written and synced new file beside
+    it that is then renamed onto it, so PATH ends up with all of the output
+    or stays as it was, also when making a piece fails; a symbolic link
+    there is followed, not replaced. Anything else -- a device, a FIFO,
     /dev/stdout -- and a path whose directory takes no new file is opened and
     written through, as a plain open would."""
     try:
@@ -243,11 +266,13 @@ def _write_output(path: str, text: str) -> None:
             regular = False
     if not regular:
         with open(path, "w") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         return
     try:
         with fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, real)
@@ -260,6 +285,23 @@ def _write_output(path: str, text: str) -> None:
         raise
 
 
+def _write_stdout(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout, each as it comes, and flush. After a
+    failed write (a full device, a reader that quit) fd 1 is pointed at
+    os.devnull, so the flush at exit finds nothing left to fail on."""
+    try:
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except OSError:
+        # skipped for a stream with no descriptor or a closed one
+        with contextlib.suppress(OSError, ValueError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -267,7 +309,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:  # argparse already printed the message
         return int(e.code or 0)
     try:
-        code, text = _DISPATCH[ns.command](_checked(ns))
+        # the pieces are made while they are written, so a failure after
+        # the first one is mapped here too
+        code, pieces = _DISPATCH[ns.command](_checked(ns))
+        if ns.output:
+            _write_output(ns.output, pieces)
+        else:
+            _write_stdout(pieces)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -282,14 +330,9 @@ def main(argv: list[str] | None = None) -> int:
         # its own equation: a bug in cycleq, not in the request
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    if ns.output:
-        try:
-            _write_output(ns.output, text)
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+    except OSError as e:  # PATH or stdout not writable
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

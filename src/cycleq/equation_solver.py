@@ -5,10 +5,12 @@ anchor value xi(1) = a determines everything through the recursion
 xi(sigma^j(1)) = sigma^(j*l)(a). For general k the points {1..n} split into
 k blocks, the orbits of sigma^k, and a solution is one choice of a distinct
 target block plus an anchor value per block; that makes k! * (n/k)**k
-solutions. `solution_images` yields them in a fixed lexicographic order as
-one-line image tuples, each checked to be a bijection of 1..n and, for
-k < n, to satisfy the equation on the precomputed powers of sigma before it
-is handed out; `enumerate_solutions` wraps the same tuples as Permutations.
+solutions. `solution_chunks` yields them in a fixed lexicographic order as
+lists of up to _CHUNK one-line image tuples, each list checked as a whole
+before it is handed out: every tuple must be a bijection of 1..n and, for
+k < n, satisfy the equation on the precomputed powers of sigma.
+`solution_images` yields the same tuples one at a time, and
+`enumerate_solutions` wraps them as Permutations.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 
 from .permutation import (
     Permutation,
@@ -36,9 +39,16 @@ __all__ = [
     "check_parameters",
     "enumerate_solutions",
     "min_left_exponent",
+    "solution_chunks",
     "solution_images",
     "solve_base",
 ]
+
+
+# solutions per checked list: large enough that the C-level passes over a
+# list outweigh its per-list cost, small enough that a list and its printed
+# rows stay well under a megabyte
+_CHUNK = 4096
 
 
 class NoSolution(ValueError):
@@ -196,6 +206,77 @@ def check_parameters(n: int, k: int, l: int) -> str | None:
     return None
 
 
+def _constructed(n: int, k: int, l: int,
+                 sigma: Permutation) -> Iterator[tuple[int, ...]]:
+    """Every solution of a valid (n, k, l) as an image tuple, unchecked."""
+    if k == n:
+        # sigma^n is the identity on both sides, so everything solves it
+        return itertools.permutations(range(1, n + 1))
+    part = block_partition(n, k, sigma)
+    sig_l = power(sigma, l)
+    m = n // k
+    # orbit[v] is v, sigma^l(v), ... of length n/k, the images an anchor
+    # value v gives its block in sigma^k orbit order. A choice of anchors
+    # concatenates one orbit per block, block by block, so position p of xi
+    # reads entry place[p] of that concatenation.
+    orbit = [()]
+    for v in range(1, n + 1):
+        seq = [v]
+        for _ in range(m - 1):
+            seq.append(sig_l(seq[-1]))
+        orbit.append(tuple(seq))
+    place = [0] * n
+    for i, block in enumerate(part.blocks):
+        for j, pos in enumerate(block):
+            place[pos - 1] = i * m + j
+    gather = itemgetter(*place)
+    targets = [[orbit[v] for v in sorted(b)] for b in part.blocks]
+    return (gather(tuple(itertools.chain.from_iterable(choice)))
+            for assignment in itertools.permutations(range(k))
+            for choice in itertools.product(*(targets[t] for t in assignment)))
+
+
+def _check_chunk(chunk: list[tuple[int, ...]], points: set[int],
+                 sig_k0: tuple[int, ...], sig_l1: tuple[int, ...],
+                 k: int, l: int) -> None:
+    """_check_solves for every tuple of a non-empty chunk, in a few C-level
+    passes over the whole chunk.
+
+    The bijection test comes first, so the lookups into sig_l1 stay in
+    range; they run only for k < n, where every tuple then has length
+    n >= 2, so each itemgetter returns a tuple. A failing chunk goes through _check_solves
+    row by row, which names its first bad tuple.
+    """
+    n = len(points)
+    if (all(map(n.__eq__, map(len, chunk)))
+            and all(map(points.__eq__, map(set, chunk)))
+            and (k == n
+                 or tuple(itertools.chain.from_iterable(map(itemgetter(*sig_k0), chunk)))
+                 == itemgetter(*itertools.chain.from_iterable(chunk))(sig_l1))):
+        return
+    for xi in chunk:
+        _check_solves(xi, points, sig_k0, sig_l1, k, l)
+
+
+def solution_chunks(inst: EquationInstance) -> Iterator[list[tuple[int, ...]]]:
+    """The tuples of solution_images in lists of _CHUNK; the last may be shorter.
+
+    Each list is checked as a whole before it is yielded, with the property
+    _check_solves proves for one tuple. Invalid (k, l) raises
+    InvalidParameters, with the failed condition spelled out, when
+    iteration starts.
+    """
+    n, k, l, sigma = inst.n, inst.k, inst.l, inst.sigma
+    reason = check_parameters(n, k, l)
+    if reason is not None:
+        raise InvalidParameters(reason)
+    tables = _check_tables(sigma, k, l)
+    tuples = _constructed(n, k, l, sigma)
+    for chunk in iter(lambda: list(itertools.islice(tuples, _CHUNK)), []):
+        _check_chunk(chunk, *tables, k, l)
+        yield chunk
+
+
 def solution_images(inst: EquationInstance) -> Iterator[tuple[int, ...]]:
     """The one-line image tuple of every solution, in a fixed order.
 
@@ -203,40 +284,8 @@ def solution_images(inst: EquationInstance) -> Iterator[tuple[int, ...]]:
     yielded. Invalid (k, l) raises InvalidParameters, with the failed
     condition spelled out, when iteration starts.
     """
-    n, k, l, sigma = inst.n, inst.k, inst.l, inst.sigma
-    reason = check_parameters(n, k, l)
-    if reason is not None:
-        raise InvalidParameters(reason)
-    points, sig_k0, sig_l1 = _check_tables(sigma, k, l)
-    if k == n:
-        # sigma^n is the identity on both sides, so everything solves it
-        for xi in itertools.permutations(range(1, n + 1)):
-            _check_solves(xi, points, sig_k0, sig_l1, k, l)
-            yield xi
-        return
-
-    part = block_partition(n, k, sigma)
-    sig_l = power(sigma, l)
-    targets = [tuple(sorted(b)) for b in part.blocks]
-    # each block lists its 0-based positions in sigma^k orbit order from its
-    # anchor, and orbit[v] is v, sigma^l(v), ... of the same length, so an
-    # anchor value val fills its block with zip(block, orbit[val])
-    blocks = [[pos - 1 for pos in b] for b in part.blocks]
-    orbit = {}
-    for v in range(1, n + 1):
-        seq = [v]
-        for _ in range(n // k - 1):
-            seq.append(sig_l(seq[-1]))
-        orbit[v] = seq
-    for assignment in itertools.permutations(range(k)):
-        for choice in itertools.product(*(targets[t] for t in assignment)):
-            images = [0] * n
-            for block, val in zip(blocks, choice):
-                for pos, image in zip(block, orbit[val]):
-                    images[pos] = image
-            xi = tuple(images)
-            _check_solves(xi, points, sig_k0, sig_l1, k, l)
-            yield xi
+    for chunk in solution_chunks(inst):
+        yield from chunk
 
 
 def enumerate_solutions(inst: EquationInstance) -> list[Permutation]:

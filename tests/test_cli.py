@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -7,15 +9,22 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import cycleq.equation_solver as es
 from cycleq import cli
 from cycleq.cli import ENV_ORACLE_BOUND, build_parser, main
 from cycleq.class_graph import build_gamma, export_dot
 from cycleq.counting import InexactDivision, count_table, q_count
-from cycleq.equation_solver import EquationInstance, check_parameters, enumerate_solutions
+from cycleq.equation_solver import (
+    _CHUNK,
+    EquationInstance,
+    check_parameters,
+    enumerate_solutions,
+)
 from cycleq.oracle import enumerate_classes
 from cycleq.permutation import one_line
 
@@ -447,19 +456,48 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error:")
 
 
+def corrupt_construction(monkeypatch, index, corrupt):
+    """Make the construction hand the solver's checks corrupt(xi) in place of
+    its tuple number index."""
+    real = es._constructed
+
+    def corrupted(*args):
+        return (corrupt(xi) if i == index else xi
+                for i, xi in enumerate(real(*args)))
+
+    monkeypatch.setattr(es, "_constructed", corrupted)
+
+
 def test_failed_self_check_exit_code(capsys, monkeypatch):
     # a constructed solution that fails its own re-verification is an
-    # internal error, not a usage error and not a traceback; handing the
-    # check each solution with its first two images swapped makes every
-    # check fail
-    import cycleq.equation_solver as es
-    real = es._check_solves
-    monkeypatch.setattr(es, "_check_solves",
-                        lambda xi, *rest: real(xi[1::-1] + xi[2:], *rest))
+    # internal error, not a usage error and not a traceback; one solution
+    # with its first two images swapped fails the check of the first chunk,
+    # before any byte is written
+    corrupt_construction(monkeypatch, 0, lambda xi: xi[1::-1] + xi[2:])
     code, out, err = run(["solve", "5", "1", "2"], capsys)
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: constructed")
+
+
+def test_failed_self_check_mid_stream(capsys, monkeypatch, tmp_path):
+    # a bad tuple in the third chunk: the count line and the rows of the
+    # first two chunks are already on stdout, whole, and nothing after them
+    golden = run(["solve", "9", "9", "9"], capsys)[1]
+    corrupt_construction(monkeypatch, 2 * _CHUNK + 5, lambda xi: xi[1:2] + xi[1:])
+    code, out, err = run(["solve", "9", "9", "9"], capsys)
+    assert code == 3
+    assert golden.startswith(out) and out.endswith("\n")
+    assert out.count("\n") == 1 + 2 * _CHUNK
+    assert err == "internal error: constructed [3 3 7 5 4 8 2 9 6] is not a bijection of 1..9\n"
+    # -o PATH stays as it was, with no temporary file left
+    target = tmp_path / "solutions.txt"
+    target.write_text("old\n")
+    code, out, err = run(["solve", "9", "9", "9", "-o", str(target)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: constructed [3 3 7 5 4 8 2 9 6]")
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["solutions.txt"]
 
 
 def test_output_file_error(capsys, tmp_path):
@@ -506,6 +544,82 @@ def test_output_file_failure_mid_write(capsys, monkeypatch, tmp_path, existing):
         assert os.listdir(tmp_path) == ["gamma.dot"]
     else:
         assert os.listdir(tmp_path) == []
+
+
+class FailingStdout:
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+@pytest.mark.parametrize("argv", [["compute", "5"], ["solve", "9", "9", "9"]])
+@pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                   OSError(errno.ENOSPC, "No space left on device")])
+def test_stdout_write_failure(capsys, monkeypatch, argv, error):
+    # a reader that quit or a full device: one error line and exit 2
+    monkeypatch.setattr(sys, "stdout", FailingStdout(error))
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_stdout_full_device():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cycleq", "compute", "5"],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def test_stdout_reader_quits():
+    # rows go out as they are made, so a reader can stop after the first
+    # line; the next write fails and ends the run with one error line
+    proc = subprocess.Popen([sys.executable, "-m", "cycleq", "solve", "9", "9", "9"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "count=362880\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    assert proc.stderr.read() == "error: [Errno 32] Broken pipe\n"
+    proc.stderr.close()
+
+
+class CountingSink:
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def flush(self):
+        pass
+
+
+def test_solve_memory_stays_flat(capsys, monkeypatch, tmp_path):
+    # rows are made, written and dropped a chunk at a time, to stdout and to
+    # -o PATH alike: the 7.3 MB listing never exists as a whole
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    target = tmp_path / "out.txt"
+    for argv in (["solve", "9", "9", "9"],
+                 ["solve", "9", "9", "9", "-o", str(target)]):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2 ** 20, (argv, peak)
+    assert sink.size == target.stat().st_size == 7257613
 
 
 def test_output_file_onto_directory(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from math import factorial, gcd
 
@@ -10,12 +11,15 @@ from cycleq.equation_solver import (
     EquationInstance,
     InvalidParameters,
     NoSolution,
+    _CHUNK,
+    _check_chunk,
     _check_solves,
     _check_tables,
     block_partition,
     check_parameters,
     enumerate_solutions,
     min_left_exponent,
+    solution_chunks,
     solution_images,
     solve_base,
 )
@@ -236,6 +240,89 @@ def test_check_solves_on_image_tuples():
                         (3, 3, 3, (0, 1, 2))]:
         with pytest.raises(RuntimeError, match="^constructed .* not a bijection"):
             _check_solves(xi, *_check_tables(canonical_sigma(n), k, l), k, l)
+
+
+# every valid (n, k, l) with n <= 8, the trivial equation (n, n, n) included
+CHUNK_CASES = [(n, k, l) for n in range(1, 9) for k, l in valid_pairs(n) + [(n, n)]]
+
+
+@functools.cache
+def chunks_of(n, k, l):
+    return list(solution_chunks(EquationInstance(n, k, l)))
+
+
+def row_check_message(xi, tables, k, l):
+    """The RuntimeError message _check_solves gives for xi, or None."""
+    try:
+        _check_solves(xi, *tables, k, l)
+    except RuntimeError as e:
+        return str(e)
+    return None
+
+
+def test_chunk_check_passes_every_enumerated_chunk():
+    for n, k, l in CHUNK_CASES:
+        tables = _check_tables(canonical_sigma(n), k, l)
+        chunks = chunks_of(n, k, l)
+        full, rest = divmod(p_count(n, k), _CHUNK)
+        assert [len(c) for c in chunks] == [_CHUNK] * full + [rest] * (rest > 0)
+        for chunk in chunks:
+            _check_chunk(chunk, *tables, k, l)
+
+
+def test_chunk_check_on_image_tuples():
+    # the cases of test_check_solves_on_image_tuples, among the genuine
+    # solutions of a chunk: a bijection that fails the equation, and
+    # non-bijections, with (1, 1, 3, 3) satisfying the equation at n = 4
+    for n, k, l, xi, problem in [
+            (5, 1, 2, (1, 2, 3, 4, 5), "fails sigma"),
+            (3, 3, 3, (1, 1, 3), "is not a bijection"),
+            (4, 2, 2, (1, 1, 3, 3), "is not a bijection"),
+            (3, 3, 3, (1, 2), "is not a bijection"),
+            (3, 3, 3, (1, 2, 3, 4), "is not a bijection"),
+            (3, 3, 3, (0, 1, 2), "is not a bijection")]:
+        tables = _check_tables(canonical_sigma(n), k, l)
+        first = chunks_of(n, k, l)[0]
+        for chunk in ([xi], [xi] + first, first + [xi]):
+            with pytest.raises(RuntimeError) as exc:
+                _check_chunk(chunk, *tables, k, l)
+            assert str(exc.value) == row_check_message(xi, tables, k, l)
+            assert problem in str(exc.value)
+
+
+CORRUPTIONS = ("swap", "repeat", "drop", "add", "zero", "past_n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chunk_check_agrees_with_row_check(data):
+    # one tuple of a real chunk corrupted: the chunk check raises exactly
+    # what the row check says about that tuple, and passes when it does
+    n, k, l = data.draw(st.sampled_from(CHUNK_CASES))
+    chunk = list(data.draw(st.sampled_from(chunks_of(n, k, l))))
+    r = data.draw(st.integers(0, len(chunk) - 1))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    kind = data.draw(st.sampled_from(CORRUPTIONS))
+    xi = list(chunk[r])
+    if kind == "swap":
+        xi[i], xi[j] = xi[j], xi[i]
+    elif kind == "repeat":
+        xi[i] = xi[j]
+    elif kind == "drop":
+        del xi[i]
+    elif kind == "add":
+        xi.insert(i, data.draw(st.integers(0, n + 1)))
+    else:
+        xi[i] = 0 if kind == "zero" else n + 1
+    chunk[r] = tuple(xi)
+    tables = _check_tables(canonical_sigma(n), k, l)
+    expected = row_check_message(chunk[r], tables, k, l)
+    if expected is None:
+        _check_chunk(chunk, *tables, k, l)
+    else:
+        with pytest.raises(RuntimeError) as exc:
+            _check_chunk(chunk, *tables, k, l)
+        assert str(exc.value) == expected
 
 
 def test_scaling_closure():
