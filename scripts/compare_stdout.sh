@@ -31,6 +31,8 @@ commands=(
   "solve 8 8 8 -o /dev/stdout"
   "verify 2 6"
   "verify 2 7"
+  "verify 2 8 --seed 5"
+  "verify 9 9 --oracle-bound 9"
 )
 
 # leading NAME=VALUE words go to the environment

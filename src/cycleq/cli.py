@@ -35,7 +35,6 @@ from .oracle import (
     DEFAULT_BOUND,
     DEFAULT_SEED,
     BoundExceeded,
-    count_equation_solutions,
     enumerate_classes,
     sigma_independence_check,
 )
@@ -206,7 +205,7 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
         if v.k == n:
             continue
         expected = p_count(n, v.k)
-        got = count_equation_solutions(n, v.k, v.l, bound=bound)
+        got = report.solution_counts.get((v.k, v.l), 0)
         if got != expected:
             return (f"equation (k={v.k}, l={v.l}) has {got} solutions, "
                     f"formula says {expected}")

@@ -3,8 +3,8 @@
 Orbits of xi -> sigma * xi and xi -> xi * sigma are exactly the equivalence
 classes, so walking the group counts them with no number theory involved.
 Factorial growth makes this a small-n tool: calls are guarded by a
-configurable bound (default 8; one class walk takes about 0.12 s at n = 9
-and 1.6 s at n = 10 on a 2-vCPU Xeon under Python 3.11). Right
+configurable bound (default 8; one class walk takes about 0.1 s at n = 9
+and 1.2 s at n = 10 on a 2-vCPU Xeon under Python 3.11). Right
 multiplication by the powers of sigma moves xi(1) through every point once,
 so each orbit splits into n-element cosets that each meet the slice
 xi(1) = 1 once. The walk therefore visits only that slice: for each of its
@@ -13,19 +13,25 @@ class is n times the number of distinct images. A class is counted at its
 lexicographically least member, which lies in the slice, so a slice element
 is dropped at the first image smaller than itself, and the full image set
 is built only for the class representatives.
+
+The same walk answers every equation sigma^k * xi == xi * sigma^l. A
+representative x that is its own image at a satisfies
+sigma^a * x == x * sigma^(n-b(a)), and so does every member
+sigma^c * x * sigma^d of its class, because powers of sigma commute with
+each other. The number of solutions of one equation is therefore the total
+size of the classes whose representative solves it.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import factorial
 
-from .equation_solver import _require_cycle, min_left_exponent
-from .permutation import Permutation, canonical_sigma, compose, inverse, is_full_cycle, power
-from .zn_ring import to_decimal
+from .equation_solver import _require_cycle
+from .permutation import Permutation, canonical_sigma, compose, inverse, is_full_cycle
 
 __all__ = [
     "BoundExceeded",
@@ -63,26 +69,11 @@ class ClassReport:
     sigma: Permutation
     class_count: int
     size_histogram: dict[int, int]
-    # optional (representative, size, min_left_exponent) per class
+    # optional (representative, size, least relation (k, l) or None) per class
     per_class: tuple | None = None
-
-    def to_json(self) -> str:
-        doc = {
-            "n": self.n,
-            "sigma": list(self.sigma.images),
-            "class_count": to_decimal(self.class_count),
-            "size_histogram": {str(s): c for s, c in sorted(self.size_histogram.items())},
-        }
-        if self.per_class is not None:
-            doc["classes"] = [
-                {
-                    "representative": list(rep.images),
-                    "size": size,
-                    "min_left_exponent": list(mle) if mle is not None else None,
-                }
-                for rep, size, mle in self.per_class
-            ]
-        return json.dumps(doc)
+    # (k, l) in 1..n-1 -> number of xi with sigma^k * xi == xi * sigma^l, an
+    # absent pair has none; derived from the classes, so not compared
+    solution_counts: dict = field(default_factory=dict, compare=False)
 
 
 def enumerate_classes(n: int,
@@ -108,6 +99,7 @@ def enumerate_classes(n: int,
 
     shifts = powers[1:]
     histogram: Counter = Counter()
+    solutions: Counter = Counter()
     details = []
     count = 0
     for tail in itertools.permutations(range(1, n)):
@@ -126,34 +118,39 @@ def enumerate_classes(n: int,
             size = n * len(set(images))
             count += 1
             histogram[size] += 1
+            # images[a] == x is sigma^a * x == x * sigma^(n-b); b is never 0
+            # there, as sigma^a * x == x would make sigma^a the identity
+            relations = [(a, n - to_zero[x[powers[a][0]]])
+                         for a in range(1, n) if images[a] == x]
+            for relation in relations:
+                solutions[relation] += size
             if with_classes:
                 rep = Permutation(tuple(v + 1 for v in x))
-                details.append((rep, size, min_left_exponent(rep, sigma)))
+                details.append((rep, size, relations[0] if relations else None))
 
     return ClassReport(n, sigma, count, dict(sorted(histogram.items())),
-                       tuple(details) if with_classes else None)
+                       tuple(details) if with_classes else None,
+                       dict(solutions))
 
 
 def count_equation_solutions(n: int, k: int, l: int,
                              sigma: Permutation | None = None,
                              bound: int = DEFAULT_BOUND) -> int:
-    """Count xi with sigma^k * xi == xi * sigma^l by testing all of S_n."""
+    """Count xi with sigma^k * xi == xi * sigma^l, read off one class walk.
+
+    Exponents count mod n: every xi solves sigma^0 * xi == xi * sigma^0, and
+    none solves an equation with just one power the identity. Any other
+    equation holds for a whole class or for none of it, as its
+    representative does.
+    """
     _check_bound(n, bound)
     if k < 1 or l < 1:
         raise ValueError(f"exponents must be positive, got k={k}, l={l}")
     sigma = _require_cycle(n, sigma)
-    sig_k = tuple(v - 1 for v in power(sigma, k).images)
-    sig_l = tuple(v - 1 for v in power(sigma, l).images)
-    # point 0 first, then whole one-line tuples: sigma^k * x sends i to
-    # x[sig_k[i]], x * sigma^l sends it to sig_l[x[i]]
-    k0 = sig_k[0]
-    image_l = sig_l.__getitem__
-    count = 0
-    for x in itertools.permutations(range(n)):
-        if (x[k0] == sig_l[x[0]]
-                and tuple(map(x.__getitem__, sig_k)) == tuple(map(image_l, x))):
-            count += 1
-    return count
+    k, l = k % n, l % n
+    if k == 0 or l == 0:
+        return factorial(n) if k == l else 0
+    return enumerate_classes(n, sigma, bound).solution_counts.get((k, l), 0)
 
 
 def _random_full_cycle_conjugate(n: int, sigma: Permutation,

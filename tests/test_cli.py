@@ -392,13 +392,49 @@ def test_verify_reports_failure(capsys, monkeypatch):
     assert "formula says 1" in out
 
 
+def test_verify_reports_wrong_solution_count(capsys, monkeypatch):
+    # doctor the solution counts of the canonical shift's walk, one count
+    # off by one or one pair missing: the equation check must say FAIL and
+    # exit 1, not raise
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+    real = cli.enumerate_classes
+
+    def doctoring(change):
+        def doctored(n, sigma=None, bound=8, with_classes=False):
+            report = real(n, sigma, bound, with_classes)
+            counts = dict(report.solution_counts)
+            change(counts)
+            return dataclasses.replace(report, solution_counts=counts)
+        return doctored
+
+    monkeypatch.setattr(cli, "enumerate_classes",
+                        doctoring(lambda c: c.update({(2, 2): c[2, 2] + 1})))
+    assert run(["verify", "4", "4"], capsys) == (
+        1, "n=4 FAIL: equation (k=2, l=2) has 9 solutions, formula says 8\n", "")
+    monkeypatch.setattr(cli, "enumerate_classes",
+                        doctoring(lambda c: c.pop((1, 3))))
+    assert run(["verify", "4", "4"], capsys) == (
+        1, "n=4 FAIL: equation (k=1, l=3) has 0 solutions, formula says 4\n", "")
+
+
 def test_verify_walks_each_shift_once(capsys, monkeypatch):
-    # the class walk of the canonical shift that checks the count is the
-    # base of the sigma-independence check too: per n one walk for the
-    # shift, one for its inverse and one per seeded conjugate
+    # the class walk of the canonical shift that checks the count gives the
+    # solution counts and is the base of the sigma-independence check too:
+    # per n one walk for the shift, one for its inverse and one per seeded
+    # conjugate, and no other pass over S_n
     import cycleq.oracle as oracle
     monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
     walks = []
+    counts = []
+    real_count = oracle.count_equation_solutions
+
+    def counting(*args, **kwargs):
+        counts.append(args)
+        return real_count(*args, **kwargs)
+
+    for module in (cli, oracle):
+        monkeypatch.setattr(module, "count_equation_solutions", counting,
+                            raising=False)
 
     def recording(walk):
         def wrapper(n, sigma=None, bound=8, with_classes=False):
@@ -412,6 +448,7 @@ def test_verify_walks_each_shift_once(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert out == "n=2 PASS\nn=3 PASS\nn=4 PASS\nn=5 PASS\nn=6 PASS\n"
     assert walks == [n for n in range(2, 7) for _ in range(5)]
+    assert counts == []
 
 
 # -- plumbing --------------------------------------------------------------

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from math import factorial
 
@@ -57,18 +56,18 @@ def test_oracle_agrees_with_formula_small_n():
 
 def test_enumerate_classes_matches_bfs_reference(classes_by_bfs):
     # the slice walk against the flood fill over all of S_n: same counts,
-    # histograms, representatives in the same order, and the same JSON
+    # histograms, and representatives in the same order with the same least
+    # relation, the flood fill's found by a compose search
     for n in range(1, 9):
         shift = canonical_sigma(n)
         rng = random.Random(DEFAULT_SEED)
         sigmas = [shift, inverse(shift)]
         sigmas += [_random_full_cycle_conjugate(n, shift, rng) for _ in range(3)]
         for sigma in sigmas:
-            detail = n <= 7
+            detail = n <= 7 or sigma == shift
             got = enumerate_classes(n, sigma, with_classes=detail)
             want = classes_by_bfs(n, sigma, with_classes=detail)
             assert got == want, (n, sigma)
-            assert got.to_json() == want.to_json(), (n, sigma)
 
 
 def test_count_equation_solutions_examples():
@@ -77,19 +76,30 @@ def test_count_equation_solutions_examples():
     assert count_equation_solutions(6, 1, 2) == 0
 
 
-def test_count_equation_solutions_matches_scan_reference(solutions_by_scan):
-    # the tuple comparison against the point-by-point scan, for every
-    # exponent pair and several full cycles; n = 1 has a one-point tuple
+def test_count_equation_solutions_matches_scan_reference(solutions_by_scan, gamma):
+    # the counts read off the class walk against the point-by-point scan,
+    # for every exponent pair and several full cycles; the walk records
+    # only pairs in 1..n-1, and n = 1 has none
     for n in range(1, 8):
         shift = canonical_sigma(n)
         rng = random.Random(DEFAULT_SEED)
         sigmas = [shift, inverse(shift)]
         sigmas += [_random_full_cycle_conjugate(n, shift, rng) for _ in range(3)]
         for sigma in sigmas:
+            counts = enumerate_classes(n, sigma).solution_counts
+            assert set(counts) <= set(itertools.product(range(1, n), repeat=2))
             for k in range(1, n + 1):
                 for l in range(1, n + 1):
-                    assert (count_equation_solutions(n, k, l, sigma)
-                            == solutions_by_scan(n, k, l, sigma)), (n, k, l, sigma)
+                    want = solutions_by_scan(n, k, l, sigma)
+                    assert count_equation_solutions(n, k, l, sigma) == want, (n, k, l, sigma)
+                    if k < n and l < n:
+                        assert counts.get((k, l), 0) == want, (n, k, l, sigma)
+    # n = 8 for the shift, on the pairs that verify checks
+    counts = enumerate_classes(8).solution_counts
+    for v in gamma(8).vertices:
+        if v.k < 8:
+            want = solutions_by_scan(8, v.k, v.l)
+            assert counts[v.k, v.l] == count_equation_solutions(8, v.k, v.l) == want, v
 
 
 def test_solution_counts_for_all_pairs_up_to_7(gamma):
@@ -218,20 +228,6 @@ def test_per_class_detail():
 
 def test_default_report_omits_detail():
     assert enumerate_classes(4).per_class is None
-
-
-def test_report_json():
-    rep = enumerate_classes(4, with_classes=True)
-    doc = json.loads(rep.to_json())
-    assert doc["n"] == 4
-    assert doc["class_count"] == "3"
-    assert doc["size_histogram"] == {"4": 2, "16": 1}
-    assert doc["sigma"] == [2, 3, 4, 1]
-    assert len(doc["classes"]) == 3
-    assert doc["classes"][0]["representative"] == [1, 2, 3, 4]
-    assert doc["classes"][0]["min_left_exponent"] == [1, 1]
-    plain = json.loads(enumerate_classes(4).to_json())
-    assert "classes" not in plain
 
 
 def test_seeded_conjugates_are_reproducible():
