@@ -36,8 +36,8 @@ print()
 
 n = 6
 g = build_gamma(n)
-print("solution counts over n=%d, formula vs scanning all %d permutations:"
-      % (n, factorial(n)))
+print("solution counts over n=%d, formula vs one class walk over the %d "
+      "permutations with xi(1) = 1:" % (n, factorial(n - 1)))
 for v in g.vertices:
     if v.k == n:
         continue

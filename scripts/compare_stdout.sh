@@ -27,6 +27,11 @@ commands=(
   "solve 9 9 9 -f json"
   "solve 10 5 5"
   "solve 12 4 4 -f json"
+  "solve 12 6 6"
+  "solve 12 6 6 -f json"
+  "solve 100 1 3 -f json"
+  "solve 255 1 2"
+  "solve 256 1 3"
   "solve 1 1 1"
   "solve 8 8 8 -o /dev/stdout"
   "verify 2 6"

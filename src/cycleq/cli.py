@@ -15,7 +15,7 @@ import itertools
 import os
 import stat
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .class_graph import build_gamma, export_dot, export_json
 from .counting import (
@@ -29,6 +29,7 @@ from .equation_solver import (
     EquationInstance,
     InvalidParameters,
     NoSolution,
+    _checked_blocks,
     solution_chunks,
 )
 from .oracle import (
@@ -102,7 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _checked(ns: argparse.Namespace) -> argparse.Namespace:
-    """Range-check n or FROM..TO and resolve verify's oracle bound."""
+    """Range-check n or FROM..TO, reject a -o PATH no file can have, and
+    resolve verify's oracle bound."""
+    if ns.output is not None and (not ns.output or "\0" in ns.output):
+        # the OS refuses an empty path or one with a NUL byte in it
+        raise UsageError(f"-o PATH must be a non-empty path with no NUL byte, "
+                         f"got {ns.output!r}")
     if hasattr(ns, "n") and ns.n < 1:
         raise UsageError(f"n must be at least 1, got {ns.n}")
     if hasattr(ns, "n_from") and (ns.n_from < 1 or ns.n_to < ns.n_from):
@@ -153,35 +159,69 @@ def cmd_graph(ns: argparse.Namespace) -> tuple[int, list[str]]:
     return EXIT_OK, [export_dot(g)]
 
 
+def _row_text(n: int, joiner: str, sep: str,
+              end: str) -> Callable[[list[tuple[int, ...]], bytes | None], str]:
+    """A function from a checked chunk and its byte block to the text of its
+    rows, each joiner + "[" + the images split by sep + end, as one %
+    format of the image tuples writes them.
+
+    A block is laid out as fixed-width rows in a bytearray, each image in
+    three slots, the most a byte value needs, left aligned and padded with
+    NUL: one translate of a column by a digit table per column and digit
+    place, written as a stride, fills the slots, and deleting the NULs
+    from the decoded text gives the rows. A chunk with no block (images
+    wider than a byte) takes the % format.
+    """
+    row = joiner + "[" + sep.join(["%s"] * n) + end
+    template = bytearray(row.replace("%s", "\0\0\0"), "ascii")
+    stride, first, step = len(template), len(joiner) + 1, 3 + len(sep)
+    digits = "".join([str(v).ljust(3, "\0") for v in range(256)]).encode()
+    planes = [digits[d::3] for d in range(3)]
+
+    def text(chunk: list[tuple[int, ...]], block: bytes | None) -> str:
+        if block is None:
+            return "".join([row] * len(chunk)) % tuple(itertools.chain.from_iterable(chunk))
+        out = template * len(chunk)
+        for c in range(n):
+            column = block[c::n]
+            for at, plane in enumerate(planes, first + c * step):
+                out[at::stride] = column.translate(plane)
+        # decode at layout size, then delete the NULs, so each piece is cut
+        # down in place from a layout-sized block: a piece made at its exact
+        # size lands in whatever small heap hole is free, which fragments
+        # the heap of a sink that keeps every piece (a StringIO)
+        return out.decode("ascii").translate({0: None})
+
+    return text
+
+
 def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
     try:
         inst = EquationInstance(ns.n, ns.k, ns.l)
     except ValueError as e:  # exponents outside 1..n
         raise UsageError(str(e)) from e
-    chunks = solution_chunks(inst)
+    chunks = _checked_blocks(inst)
     # an invalid pair, or a failed check of the first chunk, raises here,
     # before the first byte is written
-    first = next(chunks, [])
+    first = next(chunks, ([], None))
     count = p_count(ns.n, ns.k)
-    # one format per chunk, m copies of the row format applied to the m
-    # checked image tuples at once: the bytes of one_line in text and of
-    # str(list(images)) in json
+    # the bytes of one_line in text and of str(list(images)) in json; every
+    # json row is led by ", ", which the first row drops
     if ns.format == "json":
-        row, joiner = "[" + ", ".join(["%s"] * ns.n) + "]", ", "
+        joiner, text = ", ", _row_text(ns.n, ", ", ", ", "]")
         head = (f'{{"n": {ns.n}, "k": {ns.k}, "l": {ns.l}, '
                 f'"count": {count}, "solutions": [')
         tail = "]}\n"
     else:
-        row, joiner = "[" + " ".join(["%s"] * ns.n) + "]\n", ""
+        joiner, text = "", _row_text(ns.n, "", " ", "]\n")
         head, tail = f"count={count}\n", ""
 
     def pieces() -> Iterator[str]:
-        lead, listed = head, 0
-        for chunk in itertools.chain([first], chunks):
+        listed = len(first[0])
+        yield head + text(*first)[len(joiner):]
+        for chunk, block in chunks:
             listed += len(chunk)
-            yield lead + (joiner.join([row] * len(chunk))
-                          % tuple(itertools.chain.from_iterable(chunk)))
-            lead = joiner
+            yield text(chunk, block)
         if listed != count:
             raise RuntimeError(f"constructed {listed} solutions of "
                                f"(n={ns.n}, k={ns.k}, l={ns.l}), expected {count}")
@@ -311,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         # the pieces are made while they are written, so a failure after
         # the first one is mapped here too
         code, pieces = _DISPATCH[ns.command](_checked(ns))
-        if ns.output:
+        if ns.output is not None:
             _write_output(ns.output, pieces)
         else:
             _write_stdout(pieces)

@@ -8,7 +8,9 @@ target block plus an anchor value per block; that makes k! * (n/k)**k
 solutions. `solution_chunks` yields them in a fixed lexicographic order as
 lists of up to _CHUNK one-line image tuples, each list checked as a whole
 before it is handed out: every tuple must be a bijection of 1..n and, for
-k < n, satisfy the equation on the precomputed powers of sigma.
+k < n, satisfy the equation on the precomputed powers of sigma. For
+n <= 255 the check runs on the list as one bytes block of its images, which
+the CLI also formats from; wider images take the tuple check.
 `solution_images` yields the same tuples one at a time, and
 `enumerate_solutions` wraps them as Permutations.
 """
@@ -236,26 +238,81 @@ def _constructed(n: int, k: int, l: int,
             for choice in itertools.product(*(targets[t] for t in assignment)))
 
 
+def _byte_block(chunk: list[tuple[int, ...]], n: int, sig_k0: tuple[int, ...],
+                sig_l1: tuple[int, ...], k: int) -> bytes | None:
+    """The chunk as one row-major bytes block of its images when every tuple
+    passes _check_solves, else None; for n <= 255, where an image fits a byte.
+
+    bytes.maketrans(row, ident) maps row[i] to i with the later entry
+    winning, so row translated by it is ident exactly when no value repeats;
+    it raises, as bytes() does for a value outside 0..255, on a row whose
+    length is not n. Deleting 1..n from the block must then leave nothing,
+    and for k < n the equation compares n strided copies of the block with
+    the block translated by sigma^l.
+    """
+    ident = bytes(range(n))
+    try:
+        rows = list(map(bytes, chunk))
+        if (b"".join(map(bytes.translate, rows,
+                         map(bytes.maketrans, rows, itertools.repeat(ident))))
+                != ident * len(rows)):
+            return None
+    except ValueError:
+        return None
+    block = b"".join(rows)
+    if block.translate(None, bytes(range(1, n + 1))):
+        return None
+    if k < n:
+        left = bytearray(len(block))
+        for i, j in enumerate(sig_k0):
+            left[i::n] = block[j::n]
+        if left != block.translate(bytes(sig_l1).ljust(256, b"\0")):
+            return None
+    return block
+
+
 def _check_chunk(chunk: list[tuple[int, ...]], points: set[int],
                  sig_k0: tuple[int, ...], sig_l1: tuple[int, ...],
-                 k: int, l: int) -> None:
+                 k: int, l: int) -> bytes | None:
     """_check_solves for every tuple of a non-empty chunk, in a few C-level
-    passes over the whole chunk.
+    passes over the whole chunk; returns the chunk's byte block, or None
+    for n >= 256 and for a chunk that only the row-by-row check passed.
 
-    The bijection test comes first, so the lookups into sig_l1 stay in
-    range; they run only for k < n, where every tuple then has length
-    n >= 2, so each itemgetter returns a tuple. A failing chunk goes through _check_solves
-    row by row, which names its first bad tuple.
+    For n <= 255 the passes are those of _byte_block. Wider images take
+    the wide-image path, one set and one pair of tuples per row: the
+    bijection test comes first, so the lookups into sig_l1 stay in range;
+    they run only for k < n, where every tuple then has length n >= 2, so
+    each itemgetter returns a tuple. A failing chunk goes through
+    _check_solves row by row, which names its first bad tuple.
     """
     n = len(points)
-    if (all(map(n.__eq__, map(len, chunk)))
+    if n <= 255:
+        block = _byte_block(chunk, n, sig_k0, sig_l1, k)
+        if block is not None:
+            return block
+    elif (all(map(n.__eq__, map(len, chunk)))
             and all(map(points.__eq__, map(set, chunk)))
             and (k == n
                  or tuple(itertools.chain.from_iterable(map(itemgetter(*sig_k0), chunk)))
                  == itemgetter(*itertools.chain.from_iterable(chunk))(sig_l1))):
-        return
+        return None
     for xi in chunk:
         _check_solves(xi, points, sig_k0, sig_l1, k, l)
+    return None
+
+
+def _checked_blocks(
+        inst: EquationInstance) -> Iterator[tuple[list[tuple[int, ...]], bytes | None]]:
+    """Each list of solution_chunks, checked, with the byte block _check_chunk
+    returns for it."""
+    n, k, l, sigma = inst.n, inst.k, inst.l, inst.sigma
+    reason = check_parameters(n, k, l)
+    if reason is not None:
+        raise InvalidParameters(reason)
+    tables = _check_tables(sigma, k, l)
+    tuples = _constructed(n, k, l, sigma)
+    for chunk in iter(lambda: list(itertools.islice(tuples, _CHUNK)), []):
+        yield chunk, _check_chunk(chunk, *tables, k, l)
 
 
 def solution_chunks(inst: EquationInstance) -> Iterator[list[tuple[int, ...]]]:
@@ -266,14 +323,7 @@ def solution_chunks(inst: EquationInstance) -> Iterator[list[tuple[int, ...]]]:
     InvalidParameters, with the failed condition spelled out, when
     iteration starts.
     """
-    n, k, l, sigma = inst.n, inst.k, inst.l, inst.sigma
-    reason = check_parameters(n, k, l)
-    if reason is not None:
-        raise InvalidParameters(reason)
-    tables = _check_tables(sigma, k, l)
-    tuples = _constructed(n, k, l, sigma)
-    for chunk in iter(lambda: list(itertools.islice(tuples, _CHUNK)), []):
-        _check_chunk(chunk, *tables, k, l)
+    for chunk, _ in _checked_blocks(inst):
         yield chunk
 
 

@@ -6,7 +6,12 @@ from math import factorial, gcd
 import pytest
 
 from cycleq.class_graph import GammaGraph, Vertex, build_gamma
-from cycleq.equation_solver import _require_cycle, min_left_exponent
+from cycleq.equation_solver import (
+    EquationInstance,
+    _require_cycle,
+    min_left_exponent,
+    solution_images,
+)
 from cycleq.oracle import DEFAULT_BOUND, ClassReport, _check_bound
 from cycleq.permutation import Permutation, canonical_sigma, power
 from cycleq.zn_ring import prime_factors, residue
@@ -216,3 +221,21 @@ def count_solutions_by_scan(n: int, k: int, l: int,
 @pytest.fixture(scope="session")
 def solutions_by_scan():
     return count_solutions_by_scan
+
+
+def solve_output_by_format(n: int, k: int, l: int, fmt: str = "text") -> str:
+    """The stdout of `cycleq solve n k l -f fmt`, each row written by one %
+    format of its image tuple. The reference for the solve rows."""
+    images = list(solution_images(EquationInstance(n, k, l)))
+    if fmt == "json":
+        row = "[" + ", ".join(["%s"] * n) + "]"
+        body = ", ".join(row % xi for xi in images)
+        return (f'{{"n": {n}, "k": {k}, "l": {l}, "count": {len(images)}, '
+                f'"solutions": [{body}]}}\n')
+    row = "[" + " ".join(["%s"] * n) + "]\n"
+    return f"count={len(images)}\n" + "".join(row % xi for xi in images)
+
+
+@pytest.fixture(scope="session")
+def solve_by_format():
+    return solve_output_by_format

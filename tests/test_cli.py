@@ -289,6 +289,31 @@ def test_solve_rendering_matches_one_line(capsys):
     assert run(["solve", "1", "1", "1"], capsys) == (0, "count=1\n[1]\n", "")
 
 
+# n on both sides of each change in digit count and of the byte boundary
+# at 255; 12 6 6 and 100 2 2 are k < n over several chunks
+SOLVE_FORMAT_CASES = [
+    (1, 1, 1), (2, 1, 1), (2, 2, 2), (9, 1, 2), (9, 3, 6), (10, 2, 4),
+    (10, 5, 5), (12, 4, 8), (12, 6, 6), (99, 1, 98), (100, 1, 3), (100, 2, 2),
+    (255, 1, 2), (255, 1, 254), (256, 1, 3), (256, 1, 255),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_solve_rows_match_the_row_format(capsys, monkeypatch, solve_by_format, chunk):
+    # text and json byte for byte against one % format per image tuple, in
+    # chunks of the real size and of 7 rows, where every case but the
+    # smallest spans several chunks
+    if chunk is not None:
+        monkeypatch.setattr(es, "_CHUNK", chunk)
+    for n, k, l in SOLVE_FORMAT_CASES:
+        for fmt in ("text", "json"):
+            code, out, err = run(["solve", str(n), str(k), str(l), "-f", fmt], capsys)
+            assert (code, err) == (0, ""), (n, k, l, fmt)
+            # a bare flag: pytest takes minutes to diff megabytes of rows
+            same = out == solve_by_format(n, k, l, fmt)
+            assert same, (n, k, l, fmt)
+
+
 @pytest.mark.parametrize("argv, digest, size", [
     (["solve", "9", "9", "9"],
      "38acf8a89f230b4174d407226e3ea283ec20674b6e24b56117d2f06828beb94e", 7257613),
@@ -544,6 +569,17 @@ def test_output_file_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("path", ["", "a\0b"])
+def test_output_path_the_os_refuses(capsys, monkeypatch, tmp_path, path):
+    # an empty PATH is not "no -o", and a NUL byte in it is not a
+    # traceback: both are usage errors, with nothing written anywhere
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["compute", "2", "-o", path], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: -o PATH must be a non-empty path with no NUL byte, got {path!r}\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("existing", [True, False])

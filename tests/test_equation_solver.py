@@ -242,8 +242,12 @@ def test_check_solves_on_image_tuples():
             _check_solves(xi, *_check_tables(canonical_sigma(n), k, l), k, l)
 
 
-# every valid (n, k, l) with n <= 8, the trivial equation (n, n, n) included
-CHUNK_CASES = [(n, k, l) for n in range(1, 9) for k, l in valid_pairs(n) + [(n, n)]]
+# every valid (n, k, l) with n <= 8, the trivial equation (n, n, n) included,
+# and those with n in 10..16, where images take two digits, that make at
+# most two chunks
+CHUNK_CASES = ([(n, k, l) for n in range(1, 9) for k, l in valid_pairs(n) + [(n, n)]]
+               + [(n, k, l) for n in range(10, 17) for k, l in valid_pairs(n)
+                  if p_count(n, k) <= 2 * _CHUNK])
 
 
 @functools.cache
@@ -267,7 +271,29 @@ def test_chunk_check_passes_every_enumerated_chunk():
         full, rest = divmod(p_count(n, k), _CHUNK)
         assert [len(c) for c in chunks] == [_CHUNK] * full + [rest] * (rest > 0)
         for chunk in chunks:
-            _check_chunk(chunk, *tables, k, l)
+            # images fit a byte, so the chunk comes back as its byte block
+            assert (_check_chunk(chunk, *tables, k, l)
+                    == bytes(itertools.chain.from_iterable(chunk)))
+
+
+def test_chunk_check_on_both_sides_of_the_byte_boundary():
+    # up to n = 255 a chunk is checked as a byte block and comes back as it;
+    # from 256 on it takes the wide-image path and comes back as None. Both
+    # fail a bad tuple with the row check's message, including an image
+    # that does not fit a byte
+    for n, l, block in [(255, 2, True), (256, 3, False)]:
+        tables = _check_tables(canonical_sigma(n), 1, l)
+        chunk = chunks_of(n, 1, l)[0]
+        assert len(chunk) == n
+        assert _check_chunk(chunk, *tables, 1, l) == (
+            bytes(itertools.chain.from_iterable(chunk)) if block else None)
+        xi = chunk[7]
+        for bad in (xi[1::-1] + xi[2:], xi[:1] + xi[:-1], xi[:-1],
+                    xi[:-1] + (256,), xi[:-1] + (0,), (-1,) + xi[1:]):
+            bad_chunk = chunk[:7] + [bad] + chunk[8:]
+            with pytest.raises(RuntimeError) as exc:
+                _check_chunk(bad_chunk, *tables, 1, l)
+            assert str(exc.value) == row_check_message(bad, tables, 1, l)
 
 
 def test_chunk_check_on_image_tuples():
@@ -290,7 +316,8 @@ def test_chunk_check_on_image_tuples():
             assert problem in str(exc.value)
 
 
-CORRUPTIONS = ("swap", "repeat", "drop", "add", "zero", "past_n")
+CORRUPTIONS = ("swap", "repeat", "drop", "add", "zero", "past_n", "minus_one",
+               "past_byte")
 
 
 @settings(max_examples=300, deadline=None)
@@ -313,7 +340,8 @@ def test_chunk_check_agrees_with_row_check(data):
     elif kind == "add":
         xi.insert(i, data.draw(st.integers(0, n + 1)))
     else:
-        xi[i] = 0 if kind == "zero" else n + 1
+        # -1 and 256 do not fit a byte
+        xi[i] = {"zero": 0, "past_n": n + 1, "minus_one": -1, "past_byte": 256}[kind]
     chunk[r] = tuple(xi)
     tables = _check_tables(canonical_sigma(n), k, l)
     expected = row_check_message(chunk[r], tables, k, l)
