@@ -43,7 +43,8 @@ print("vertices strictly below the sink:", reachable, "of", len(g.vertices) - 1)
 print()
 
 # tau(n, k, r) counts r-vertices strictly below <k,k>; these are the
-# correction terms in the class-count recursion.
+# correction terms in the paper's class-count recursion. cycleq.counting
+# multiplies that recursion through by phi(n/k), which cancels them.
 print("tau(12, 12, r) for proper divisors r of 12:")
 for r in divisors(n):
     if r < n:

@@ -20,7 +20,10 @@ commands=(
   "graph 5040 -f dot"
   "graph 5040 -f json"
   "compute 10080"
+  "matrix 1"
   "matrix 2520 -f json"
+  "matrix 5040 -f json"
+  "table 1 40"
   "table 2 400 -f csv"
   "solve 9 3 3 -f json"
   "solve 9 9 9"
@@ -36,6 +39,7 @@ commands=(
   "solve 8 8 8 -o /dev/stdout"
   "verify 2 6"
   "verify 2 7"
+  "verify 1 8"
   "verify 2 8 --seed 5"
   "verify 9 9 --oracle-bound 9"
 )

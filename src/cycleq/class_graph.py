@@ -8,12 +8,12 @@ n). build_gamma lists both straight from that description, in ascending
 order, without searching: divisors k ascending, units u ascending under
 each k, and each vertex's arcs by ascending p.
 
-A directed path of length at least one is the strict order the counting
-recursion sums over. Each arc multiplies both coordinates by a prime, so a
+A directed path of length at least one is the strict order the paper's
+counting recursion sums over. Each arc multiplies both coordinates by a prime, so a
 path from <r,l> ends exactly at the vertices <k, l*(k/r) mod n> with r a
 proper divisor of k; precedes and tau use that arithmetic and never walk the
-graph. The graph itself is for export and verification; counting does not
-build it.
+graph. The graph itself and its tau are for export and verification;
+counting uses neither.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .counting import _tau
-from .zn_ring import divisors, prime_factors, residue, totient
+from .zn_ring import _exact_div, divisors, prime_factors, residue, totient
 
 __all__ = [
     "GammaGraph",
@@ -100,12 +99,19 @@ def precedes(g: GammaGraph, a: Vertex, b: Vertex) -> bool:
 
 
 def tau(g: GammaGraph, k: int, r: int) -> int:
-    """Number of vertices with first coordinate r strictly preceding <k,k>."""
+    """Number of vertices with first coordinate r strictly preceding <k,k>.
+
+    That is phi(n/r) / phi(n/k): <r,l> precedes <k,l'> exactly when
+    l * (k/r) == l' (mod n). Writing l = r*u and l' = k*v, that says
+    u == v (mod n/k), reduction from the units mod n/r onto the units mod
+    n/k, whose fibres all have the same size, so every vertex with first
+    coordinate k has the same number of r-predecessors.
+    """
     if k < 1 or g.n % k:
         raise ValueError(f"k={k} does not divide n={g.n}")
     if not 1 <= r < k or k % r:
         raise ValueError(f"r={r} must be a proper divisor of k={k}")
-    return _tau({d: totient(g.n // d) for d in (r, k)}, k, r)
+    return _exact_div(totient(g.n // r), totient(g.n // k), f"tau({k},{r})")
 
 
 def export_dot(g: GammaGraph) -> str:

@@ -29,7 +29,6 @@ from .equation_solver import (
     EquationInstance,
     InvalidParameters,
     NoSolution,
-    _checked_blocks,
     solution_chunks,
 )
 from .oracle import (
@@ -200,7 +199,7 @@ def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
         inst = EquationInstance(ns.n, ns.k, ns.l)
     except ValueError as e:  # exponents outside 1..n
         raise UsageError(str(e)) from e
-    chunks = _checked_blocks(inst)
+    chunks = solution_chunks(inst)
     # an invalid pair, or a failed check of the first chunk, raises here,
     # before the first byte is written
     first = next(chunks, ([], None))
@@ -232,11 +231,12 @@ def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
 
 def _verify_one(n: int, bound: int, seed: int) -> str | None:
     """None when n checks out, else a short reason."""
-    table = count_table(n)
-    report = enumerate_classes(n, bound=bound)
-    if report.class_count != table.total:
-        return f"oracle found {report.class_count} classes, formula says {table.total}"
+    # the predicted class sizes; their multiplicities sum to |Q_n|
     predicted = predicted_size_histogram(n)
+    total = sum(predicted.values())
+    report = enumerate_classes(n, bound=bound)
+    if report.class_count != total:
+        return f"oracle found {report.class_count} classes, formula says {total}"
     if report.size_histogram != predicted:
         return (f"size histogram {report.size_histogram} "
                 f"differs from predicted {predicted}")
@@ -249,7 +249,8 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
         if got != expected:
             return (f"equation (k={v.k}, l={v.l}) has {got} solutions, "
                     f"formula says {expected}")
-        listed = sum(map(len, solution_chunks(EquationInstance(n, v.k, v.l))))
+        listed = sum(len(chunk) for chunk, _ in
+                     solution_chunks(EquationInstance(n, v.k, v.l)))
         if listed != expected:
             return (f"enumerator produced {listed} solutions for "
                     f"(k={v.k}, l={v.l}), formula says {expected}")

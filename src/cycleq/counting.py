@@ -5,8 +5,8 @@ of the shift equation with left exponent k, h_count(n, k) is the number of
 equivalence classes attached to any single graph vertex with first
 coordinate k, and q_count(n) sums h over the divisors weighted by how many
 vertices carry each divisor. The recursion needs only divisors, totients and
-the closed form of tau, never the graph itself. Divisions in the recursion
-must come out exact; a remainder means a bug upstream and raises
+exact integer arithmetic, never the graph or its tau. Divisions in the
+recursion must come out exact; a remainder means a bug upstream and raises
 InexactDivision rather than rounding anything over.
 """
 
@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
-from .zn_ring import divisors, is_prime, to_decimal, totient
+from .zn_ring import InexactDivision  # noqa: F401  still importable from here
+from .zn_ring import _exact_div, divisors, is_prime, to_decimal, totient
 
 __all__ = [
     "Column",
     "CountTable",
-    "InexactDivision",
     "NotPrime",
     "count_table",
     "h_count",
@@ -32,10 +32,6 @@ __all__ = [
     "q_prime",
     "wilson_check",
 ]
-
-
-class InexactDivision(ArithmeticError):
-    """A count formula left a remainder; never rounded over."""
 
 
 class NotPrime(ValueError):
@@ -51,43 +47,26 @@ def p_count(n: int, k: int) -> int:
     return factorial(k) * (n // k) ** k
 
 
-def _exact_div(numerator: int, denominator: int, what: str) -> int:
-    """numerator / denominator; a remainder raises instead of rounding."""
-    q, rem = divmod(numerator, denominator)
-    if rem:
-        raise InexactDivision(
-            f"{what}: division by {denominator} leaves remainder {rem}")
-    return q
-
-
-def _tau(phi: dict[int, int], k: int, r: int) -> int:
-    """tau(k, r) = phi(n/r) / phi(n/k), where phi[d] = totient(n // d).
-
-    <r,l> precedes <k,l'> exactly when l * (k/r) == l' (mod n). Writing
-    l = r*u and l' = k*v, that says u == v (mod n/k): reduction from the
-    units mod n/r onto the units mod n/k, whose fibres all have the same
-    size, so every vertex with first coordinate k has the same number of
-    r-predecessors.
-    """
-    return _exact_div(phi[r], phi[k], f"tau({k},{r})")
-
-
 def _h_values(n: int, ks: list[int]) -> list[Column]:
     """The column of every k in ks (ascending and closed under divisors).
 
-    Each totient is computed once and serves both tau and the column, and
-    the proper divisors of ks[i] are the members of ks[:i] that divide it.
+    With G(k) = k * phi(n/k) * h(n, k), n * G(k) permutations have k as
+    their least left exponent. Summed over r | k these are the
+    phi(n/k) * p(n, k) solutions of the phi(n/k) equations with left
+    exponent k, so G(k) = phi(n/k) * (k-1)! * (n/k)**(k-1) minus the G(r)
+    of the proper divisors r of k: the paper's recursion multiplied through
+    by phi(n/k), which cancels tau(k, r) = phi(n/r) / phi(n/k). The proper
+    divisors of ks[i] are the members of ks[:i] that divide it.
     """
     phi = {k: totient(n // k) for k in ks}
-    memo: dict[int, int] = {}
+    g: dict[int, int] = {}
+    cols = []
     for i, k in enumerate(ks):
-        if k == 1:
-            memo[1] = 1
-            continue
-        lower = sum(r * _tau(phi, k, r) * memo[r] for r in ks[:i] if k % r == 0)
-        numerator = factorial(k - 1) * (n // k) ** (k - 1) - lower
-        memo[k] = _exact_div(numerator, k, f"h({n},{k})")
-    return [Column(k, phi[k], memo[k], phi[k] * memo[k]) for k in ks]
+        g[k] = (phi[k] * factorial(k - 1) * (n // k) ** (k - 1)
+                - sum(g[r] for r in ks[:i] if k % r == 0))
+        h = _exact_div(g[k], k * phi[k], f"h({n},{k})")
+        cols.append(Column(k, phi[k], h, phi[k] * h))
+    return cols
 
 
 def h_count(n: int, k: int) -> int:

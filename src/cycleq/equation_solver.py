@@ -10,9 +10,9 @@ lists of up to _CHUNK one-line image tuples, each list checked as a whole
 before it is handed out: every tuple must be a bijection of 1..n and, for
 k < n, satisfy the equation on the precomputed powers of sigma. For
 n <= 255 the check runs on the list as one bytes block of its images, which
-the CLI also formats from; wider images take the tuple check.
-`solution_images` yields the same tuples one at a time, and
-`enumerate_solutions` wraps them as Permutations.
+comes paired with the list and which the CLI formats from; wider images
+take the tuple check and pair the list with None. `enumerate_solutions`
+wraps the tuples as Permutations.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "enumerate_solutions",
     "min_left_exponent",
     "solution_chunks",
-    "solution_images",
     "solve_base",
 ]
 
@@ -301,10 +300,17 @@ def _check_chunk(chunk: list[tuple[int, ...]], points: set[int],
     return None
 
 
-def _checked_blocks(
+def solution_chunks(
         inst: EquationInstance) -> Iterator[tuple[list[tuple[int, ...]], bytes | None]]:
-    """Each list of solution_chunks, checked, with the byte block _check_chunk
-    returns for it."""
+    """Every solution as a one-line image tuple, in a fixed order, in lists
+    of _CHUNK (the last may be shorter), each paired with its byte block.
+
+    Yields exactly k! * (n/k)**k tuples in all. Each list is checked as a
+    whole before it is yielded, with the property _check_solves proves for
+    one tuple. The block is the list's images as one row-major bytes block,
+    or None for n >= 256. Invalid (k, l) raises InvalidParameters, with the
+    failed condition spelled out, when iteration starts.
+    """
     n, k, l, sigma = inst.n, inst.k, inst.l, inst.sigma
     reason = check_parameters(n, k, l)
     if reason is not None:
@@ -315,36 +321,13 @@ def _checked_blocks(
         yield chunk, _check_chunk(chunk, *tables, k, l)
 
 
-def solution_chunks(inst: EquationInstance) -> Iterator[list[tuple[int, ...]]]:
-    """The tuples of solution_images in lists of _CHUNK; the last may be shorter.
-
-    Each list is checked as a whole before it is yielded, with the property
-    _check_solves proves for one tuple. Invalid (k, l) raises
-    InvalidParameters, with the failed condition spelled out, when
-    iteration starts.
-    """
-    for chunk, _ in _checked_blocks(inst):
-        yield chunk
-
-
-def solution_images(inst: EquationInstance) -> Iterator[tuple[int, ...]]:
-    """The one-line image tuple of every solution, in a fixed order.
-
-    Yields exactly k! * (n/k)**k tuples, each one checked before it is
-    yielded. Invalid (k, l) raises InvalidParameters, with the failed
-    condition spelled out, when iteration starts.
-    """
-    for chunk in solution_chunks(inst):
-        yield from chunk
-
-
 def enumerate_solutions(inst: EquationInstance) -> list[Permutation]:
-    """Every solution of the instance, in the order of solution_images.
+    """Every solution of the instance, in the order of solution_chunks.
 
     The result has exactly k! * (n/k)**k members. Invalid (k, l) raises
     InvalidParameters with the failed condition spelled out.
     """
-    return [Permutation(xi) for xi in solution_images(inst)]
+    return [Permutation(xi) for chunk, _ in solution_chunks(inst) for xi in chunk]
 
 
 def min_left_exponent(xi: Permutation,

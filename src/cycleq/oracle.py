@@ -11,8 +11,9 @@ xi(1) = 1 once. The walk therefore visits only that slice: for each of its
 elements it forms the n slice images sigma^a * xi * sigma^b(a), and the
 class is n times the number of distinct images. A class is counted at its
 lexicographically least member, which lies in the slice, so a slice element
-is dropped at the first image smaller than itself, and the full image set
-is built only for the class representatives.
+is dropped at the first image smaller than itself. The images are the
+orbit of xi under an action of Z_n on the slice, so they number n over the
+count of shifts a that give xi back: a = 0 and one per relation.
 
 The same walk answers every equation sigma^k * xi == xi * sigma^l. A
 representative x that is its own image at a satisfies
@@ -107,21 +108,23 @@ def enumerate_classes(n: int,
         # sigma^a * x * sigma^b for the one b that puts it back in the slice;
         # x is its own image at a = 0, so it is the least image unless
         # another one is smaller
-        images = [x]
-        for pa in shifts:
-            pb = powers[to_zero[x[pa[0]]]]
+        relations = []
+        for a, pa in enumerate(shifts, 1):
+            b = to_zero[x[pa[0]]]
+            pb = powers[b]
             y = tuple([pb[x[i]] for i in pa])
             if y < x:
                 break
-            images.append(y)
+            if y == x:
+                # sigma^a * x == x * sigma^(n-b); b is never 0 here, as
+                # sigma^a * x == x would make sigma^a the identity
+                relations.append((a, n - b))
         else:
-            size = n * len(set(images))
+            # 1 + len(relations) shifts give x back, so x has
+            # n / (1 + len(relations)) distinct images
+            size = n * n // (1 + len(relations))
             count += 1
             histogram[size] += 1
-            # images[a] == x is sigma^a * x == x * sigma^(n-b); b is never 0
-            # there, as sigma^a * x == x would make sigma^a the identity
-            relations = [(a, n - to_zero[x[powers[a][0]]])
-                         for a in range(1, n) if images[a] == x]
             for relation in relations:
                 solutions[relation] += size
             if with_classes:

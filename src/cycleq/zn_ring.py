@@ -4,8 +4,9 @@ Everything downstream indexes residues by values in the window {1..n} instead
 of the usual {0..n-1}: exponents of an n-cycle only matter mod n, and writing
 the zero class as n keeps divisors, graph vertices and one-line permutation
 images in the same value range. This module also carries the divisor and
-totient helpers the counting layer needs, and the decimal rendering that
-every printed count goes through.
+totient helpers the counting layer needs, the checked exact division that
+counting and the graph's tau both go through, and the decimal rendering
+that every printed count goes through.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from math import gcd, isqrt  # gcd is re-exported on purpose; no point rewriting it
 
 __all__ = [
+    "InexactDivision",
     "divisors",
     "gcd",
     "is_prime",
@@ -76,6 +78,19 @@ def totient(m: int) -> int:
     for p in prime_factors(m):
         result = result // p * (p - 1)
     return result
+
+
+class InexactDivision(ArithmeticError):
+    """A count formula left a remainder; never rounded over."""
+
+
+def _exact_div(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator; a remainder raises instead of rounding."""
+    q, rem = divmod(numerator, denominator)
+    if rem:
+        raise InexactDivision(
+            f"{what}: division by {denominator} leaves remainder {rem}")
+    return q
 
 
 # Python refuses str() of an int with more than 4300 digits by default

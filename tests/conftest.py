@@ -5,16 +5,17 @@ from math import factorial, gcd
 
 import pytest
 
-from cycleq.class_graph import GammaGraph, Vertex, build_gamma
+from cycleq.class_graph import GammaGraph, Vertex, build_gamma, tau
+from cycleq.counting import Column
 from cycleq.equation_solver import (
     EquationInstance,
     _require_cycle,
     min_left_exponent,
-    solution_images,
+    solution_chunks,
 )
 from cycleq.oracle import DEFAULT_BOUND, ClassReport, _check_bound
 from cycleq.permutation import Permutation, canonical_sigma, power
-from cycleq.zn_ring import prime_factors, residue
+from cycleq.zn_ring import divisors, prime_factors, residue, totient
 
 
 @pytest.fixture(scope="session")
@@ -136,6 +137,26 @@ def tau_by_scan(gamma, reach):
     return count
 
 
+def columns_by_tau(g: GammaGraph) -> list[Column]:
+    """The tally columns by the paper's recursion over the graph g,
+    k * h(n,k) = (k-1)! * (n/k)**(k-1) - sum of r * tau(k,r) * h(n,r) over
+    the proper divisors r of k, with tau from class_graph.tau. The
+    reference for counting.count_table."""
+    n = g.n
+    h = {}
+    for k in divisors(n):
+        lower = sum(r * tau(g, k, r) * h[r] for r in divisors(k)[:-1])
+        h[k], rem = divmod(factorial(k - 1) * (n // k) ** (k - 1) - lower, k)
+        assert rem == 0, f"h({n},{k}) leaves remainder {rem}"
+    phi = {k: totient(n // k) for k in h}
+    return [Column(k, phi[k], h[k], phi[k] * h[k]) for k in h]
+
+
+@pytest.fixture(scope="session")
+def tally_by_tau():
+    return columns_by_tau
+
+
 def _lehmer_rank(perm: tuple, fact: list[int]) -> int:
     n = len(perm)
     r = 0
@@ -226,7 +247,8 @@ def solutions_by_scan():
 def solve_output_by_format(n: int, k: int, l: int, fmt: str = "text") -> str:
     """The stdout of `cycleq solve n k l -f fmt`, each row written by one %
     format of its image tuple. The reference for the solve rows."""
-    images = list(solution_images(EquationInstance(n, k, l)))
+    images = [xi for chunk, _ in solution_chunks(EquationInstance(n, k, l))
+              for xi in chunk]
     if fmt == "json":
         row = "[" + ", ".join(["%s"] * n) + "]"
         body = ", ".join(row % xi for xi in images)

@@ -476,6 +476,23 @@ def test_verify_walks_each_shift_once(capsys, monkeypatch):
     assert counts == []
 
 
+def test_verify_counts_each_n_once(capsys, monkeypatch):
+    # one pass of the count recursion per n serves both the class count
+    # and the size histogram
+    import cycleq.counting as counting
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+    calls = []
+    real = counting._h_values
+
+    def recording(n, ks):
+        calls.append(n)
+        return real(n, ks)
+
+    monkeypatch.setattr(counting, "_h_values", recording)
+    assert run(["verify", "2", "6"], capsys)[0] == 0
+    assert calls == [2, 3, 4, 5, 6]
+
+
 # -- plumbing --------------------------------------------------------------
 
 def test_output_file(capsys, tmp_path):

@@ -87,6 +87,12 @@ def test_count_table_1_has_a_single_column():
     assert t.total == 1
 
 
+def test_count_table_matches_the_tau_recursion(gamma, tally_by_tau):
+    # the recursion without tau against the paper's recursion over the graph
+    for n in [*range(1, 401), 5040, 10080]:
+        assert list(count_table(n).columns) == tally_by_tau(gamma(n)), n
+
+
 def test_q_count_golden_sequence():
     assert [q_count(n) for n in range(2, 20)] == GOLDEN_COUNTS
     assert q_count(1) == 1
@@ -181,18 +187,23 @@ def test_table_json_uses_decimal_strings():
 
 def test_inexact_division_is_loud(monkeypatch):
     # no valid input can trigger the guards, so doctor the totients the
-    # recursion reads
+    # recursion and tau read
+    import cycleq.class_graph as class_graph
     import cycleq.counting as counting
     real = counting.totient
-    # phi(14) read as 12 makes tau(2,1) = 12/6 = 2, so (14/2 - tau) = 5 is
-    # odd and the division by k=2 must refuse to round
+    # phi(14) read as 12 makes G(1) = 12 and G(2) = 6*7 - 12 = 30, which
+    # the division by k * phi(7) = 12 must refuse to round
     monkeypatch.setattr(counting, "totient", lambda m: 12 if m == 14 else real(m))
-    with pytest.raises(InexactDivision, match=r"h\(14,2\)"):
+    with pytest.raises(InexactDivision, match=r"h\(14,2\): division by 12 "):
         counting._h_values(14, [1, 2])
-    # phi(7) read as 4 leaves a remainder in tau(2,1) = 6/4 itself
+    # phi(7) read as 4 makes G(2) = 4*7 - 6 = 22, and 8 does not divide it
     monkeypatch.setattr(counting, "totient", lambda m: 4 if m == 7 else real(m))
-    with pytest.raises(InexactDivision, match=r"tau\(2,1\)"):
+    with pytest.raises(InexactDivision, match=r"h\(14,2\): division by 8 "):
         counting._h_values(14, [1, 2])
+    # the same phi(7) leaves a remainder in tau(2,1) = 6/4 itself
+    monkeypatch.setattr(class_graph, "totient", lambda m: 4 if m == 7 else real(m))
+    with pytest.raises(InexactDivision, match=r"tau\(2,1\)"):
+        class_graph.tau(class_graph.build_gamma(14), 2, 1)
 
 
 def burnside(n):

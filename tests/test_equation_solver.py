@@ -20,7 +20,6 @@ from cycleq.equation_solver import (
     enumerate_solutions,
     min_left_exponent,
     solution_chunks,
-    solution_images,
     solve_base,
 )
 from cycleq.oracle import count_equation_solutions
@@ -205,19 +204,19 @@ def test_enumerate_rejects_invalid_pairs():
     assert "coprime" in str(exc.value)
 
 
-def test_solution_images_are_the_enumerated_solutions():
+def test_solution_chunks_are_the_enumerated_solutions():
     # enumerate_solutions wraps the image tuples, in the same order
     for n in range(1, 9):
         for k, l in valid_pairs(n) + [(n, n)]:
             inst = EquationInstance(n, k, l)
-            images = list(solution_images(inst))
+            images = [xi for chunk, _ in solution_chunks(inst) for xi in chunk]
             assert all(type(xi) is tuple for xi in images)
             assert images == [s.images for s in enumerate_solutions(inst)]
 
 
-def test_solution_images_rejects_invalid_pairs_when_iterated():
+def test_solution_chunks_rejects_invalid_pairs_when_iterated():
     with pytest.raises(InvalidParameters) as exc:
-        next(solution_images(EquationInstance(6, 1, 3)))
+        next(solution_chunks(EquationInstance(6, 1, 3)))
     assert "coprime" in str(exc.value)
 
 
@@ -252,6 +251,7 @@ CHUNK_CASES = ([(n, k, l) for n in range(1, 9) for k, l in valid_pairs(n) + [(n,
 
 @functools.cache
 def chunks_of(n, k, l):
+    """The (chunk, block) pairs of solution_chunks."""
     return list(solution_chunks(EquationInstance(n, k, l)))
 
 
@@ -269,24 +269,24 @@ def test_chunk_check_passes_every_enumerated_chunk():
         tables = _check_tables(canonical_sigma(n), k, l)
         chunks = chunks_of(n, k, l)
         full, rest = divmod(p_count(n, k), _CHUNK)
-        assert [len(c) for c in chunks] == [_CHUNK] * full + [rest] * (rest > 0)
-        for chunk in chunks:
-            # images fit a byte, so the chunk comes back as its byte block
-            assert (_check_chunk(chunk, *tables, k, l)
-                    == bytes(itertools.chain.from_iterable(chunk)))
+        assert [len(c) for c, _ in chunks] == [_CHUNK] * full + [rest] * (rest > 0)
+        for chunk, block in chunks:
+            # images fit a byte, so the chunk comes with its byte block
+            assert block == bytes(itertools.chain.from_iterable(chunk))
+            assert _check_chunk(chunk, *tables, k, l) == block
 
 
 def test_chunk_check_on_both_sides_of_the_byte_boundary():
-    # up to n = 255 a chunk is checked as a byte block and comes back as it;
-    # from 256 on it takes the wide-image path and comes back as None. Both
+    # up to n = 255 a chunk is checked as a byte block and comes with it;
+    # from 256 on it takes the wide-image path and comes with None. Both
     # fail a bad tuple with the row check's message, including an image
     # that does not fit a byte
-    for n, l, block in [(255, 2, True), (256, 3, False)]:
+    for n, l, fits in [(255, 2, True), (256, 3, False)]:
         tables = _check_tables(canonical_sigma(n), 1, l)
-        chunk = chunks_of(n, 1, l)[0]
+        chunk, block = chunks_of(n, 1, l)[0]
         assert len(chunk) == n
-        assert _check_chunk(chunk, *tables, 1, l) == (
-            bytes(itertools.chain.from_iterable(chunk)) if block else None)
+        assert block == (bytes(itertools.chain.from_iterable(chunk)) if fits else None)
+        assert _check_chunk(chunk, *tables, 1, l) == block
         xi = chunk[7]
         for bad in (xi[1::-1] + xi[2:], xi[:1] + xi[:-1], xi[:-1],
                     xi[:-1] + (256,), xi[:-1] + (0,), (-1,) + xi[1:]):
@@ -308,7 +308,7 @@ def test_chunk_check_on_image_tuples():
             (3, 3, 3, (1, 2, 3, 4), "is not a bijection"),
             (3, 3, 3, (0, 1, 2), "is not a bijection")]:
         tables = _check_tables(canonical_sigma(n), k, l)
-        first = chunks_of(n, k, l)[0]
+        first = chunks_of(n, k, l)[0][0]
         for chunk in ([xi], [xi] + first, first + [xi]):
             with pytest.raises(RuntimeError) as exc:
                 _check_chunk(chunk, *tables, k, l)
@@ -326,7 +326,7 @@ def test_chunk_check_agrees_with_row_check(data):
     # one tuple of a real chunk corrupted: the chunk check raises exactly
     # what the row check says about that tuple, and passes when it does
     n, k, l = data.draw(st.sampled_from(CHUNK_CASES))
-    chunk = list(data.draw(st.sampled_from(chunks_of(n, k, l))))
+    chunk = list(data.draw(st.sampled_from(chunks_of(n, k, l)))[0])
     r = data.draw(st.integers(0, len(chunk) - 1))
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     kind = data.draw(st.sampled_from(CORRUPTIONS))
