@@ -35,6 +35,7 @@ commands=(
   "solve 100 1 3 -f json"
   "solve 255 1 2"
   "solve 256 1 3"
+  "solve 256 2 2"
   "solve 1 1 1"
   "solve 8 8 8 -o /dev/stdout"
   "verify 2 6"

@@ -11,8 +11,9 @@ before it is handed out: every tuple must be a bijection of 1..n and, for
 k < n, satisfy the equation on the precomputed powers of sigma. For
 n <= 255 the check runs on the list as one bytes block of its images, which
 comes paired with the list and which the CLI formats from; wider images
-take the tuple check and pair the list with None. `enumerate_solutions`
-wraps the tuples as Permutations.
+are checked tuple by tuple and pair the list with None. The lists are
+counted as they go, and a total other than k! * (n/k)**k is an error.
+`enumerate_solutions` wraps the tuples as Permutations.
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
 
-from .permutation import (
-    Permutation,
-    canonical_sigma,
-    compose,
-    identity,
-    is_full_cycle,
-    power,
-)
+from .counting import p_count
+from .permutation import Permutation, _require_cycle, compose, identity, power
 
 __all__ = [
     "BlockPartition",
@@ -58,17 +53,6 @@ class NoSolution(ValueError):
 
 class InvalidParameters(ValueError):
     """(k, l) is not a valid solution family; carries the failed condition."""
-
-
-def _require_cycle(n: int, sigma: Permutation | None) -> Permutation:
-    """sigma, or the shift when it is None, checked to be a full cycle of degree n."""
-    if sigma is None:
-        return canonical_sigma(n)
-    if sigma.degree != n:
-        raise ValueError(f"sigma has degree {sigma.degree}, expected {n}")
-    if n > 1 and not is_full_cycle(sigma):
-        raise ValueError(f"sigma must be a full cycle, got {sigma}")
-    return sigma
 
 
 @dataclass(frozen=True)
@@ -237,64 +221,44 @@ def _constructed(n: int, k: int, l: int,
             for choice in itertools.product(*(targets[t] for t in assignment)))
 
 
-def _byte_block(chunk: list[tuple[int, ...]], n: int, sig_k0: tuple[int, ...],
-                sig_l1: tuple[int, ...], k: int) -> bytes | None:
-    """The chunk as one row-major bytes block of its images when every tuple
-    passes _check_solves, else None; for n <= 255, where an image fits a byte.
-
-    bytes.maketrans(row, ident) maps row[i] to i with the later entry
-    winning, so row translated by it is ident exactly when no value repeats;
-    it raises, as bytes() does for a value outside 0..255, on a row whose
-    length is not n. Deleting 1..n from the block must then leave nothing,
-    and for k < n the equation compares n strided copies of the block with
-    the block translated by sigma^l.
-    """
-    ident = bytes(range(n))
-    try:
-        rows = list(map(bytes, chunk))
-        if (b"".join(map(bytes.translate, rows,
-                         map(bytes.maketrans, rows, itertools.repeat(ident))))
-                != ident * len(rows)):
-            return None
-    except ValueError:
-        return None
-    block = b"".join(rows)
-    if block.translate(None, bytes(range(1, n + 1))):
-        return None
-    if k < n:
-        left = bytearray(len(block))
-        for i, j in enumerate(sig_k0):
-            left[i::n] = block[j::n]
-        if left != block.translate(bytes(sig_l1).ljust(256, b"\0")):
-            return None
-    return block
-
-
 def _check_chunk(chunk: list[tuple[int, ...]], points: set[int],
                  sig_k0: tuple[int, ...], sig_l1: tuple[int, ...],
                  k: int, l: int) -> bytes | None:
-    """_check_solves for every tuple of a non-empty chunk, in a few C-level
-    passes over the whole chunk; returns the chunk's byte block, or None
-    for n >= 256 and for a chunk that only the row-by-row check passed.
+    """_check_solves for every tuple of a non-empty chunk; returns the
+    chunk's images as one row-major bytes block when n <= 255 and the
+    block passes, else None.
 
-    For n <= 255 the passes are those of _byte_block. Wider images take
-    the wide-image path, one set and one pair of tuples per row: the
-    bijection test comes first, so the lookups into sig_l1 stay in range;
-    they run only for k < n, where every tuple then has length n >= 2, so
-    each itemgetter returns a tuple. A failing chunk goes through
-    _check_solves row by row, which names its first bad tuple.
+    For n <= 255, where an image fits a byte, the chunk is checked in a few
+    C-level passes over its rows as bytes. bytes.maketrans(row, ident) maps
+    row[i] to i with the later entry winning, so row translated by it is
+    ident exactly when no value repeats; it raises, as bytes() does for a
+    value outside 0..255, on a row whose length is not n. Deleting 1..n
+    from the block must then leave nothing, and for k < n the equation
+    compares n strided copies of the block with the block translated by
+    sigma^l. A chunk that fails these passes, and every chunk for
+    n >= 256, goes through _check_solves row by row, which names its first
+    bad tuple.
     """
     n = len(points)
     if n <= 255:
-        block = _byte_block(chunk, n, sig_k0, sig_l1, k)
-        if block is not None:
+        ident = bytes(range(n))
+        try:
+            rows = list(map(bytes, chunk))
+            passes = (b"".join(map(bytes.translate, rows,
+                                   map(bytes.maketrans, rows, itertools.repeat(ident))))
+                      == ident * len(rows))
+        except ValueError:
+            passes = False
+        if passes:
+            block = b"".join(rows)
+            passes = not block.translate(None, bytes(range(1, n + 1)))
+        if passes and k < n:
+            left = bytearray(len(block))
+            for i, j in enumerate(sig_k0):
+                left[i::n] = block[j::n]
+            passes = left == block.translate(bytes(sig_l1).ljust(256, b"\0"))
+        if passes:
             return block
-    elif (all(map(n.__eq__, map(len, chunk)))
-            and all(map(points.__eq__, map(set, chunk)))
-            and (k == n
-                 or tuple(itertools.chain.from_iterable(map(itemgetter(*sig_k0), chunk)))
-                 == itemgetter(*itertools.chain.from_iterable(chunk))(sig_l1))):
-        return None
     for xi in chunk:
         _check_solves(xi, points, sig_k0, sig_l1, k, l)
     return None
@@ -305,11 +269,13 @@ def solution_chunks(
     """Every solution as a one-line image tuple, in a fixed order, in lists
     of _CHUNK (the last may be shorter), each paired with its byte block.
 
-    Yields exactly k! * (n/k)**k tuples in all. Each list is checked as a
-    whole before it is yielded, with the property _check_solves proves for
-    one tuple. The block is the list's images as one row-major bytes block,
-    or None for n >= 256. Invalid (k, l) raises InvalidParameters, with the
-    failed condition spelled out, when iteration starts.
+    Each list is checked as a whole before it is yielded, with the property
+    _check_solves proves for one tuple. The block is the list's images as
+    one row-major bytes block, or None for n >= 256. The lists are counted
+    as they are yielded: after the last one, a total other than
+    k! * (n/k)**k raises RuntimeError. Invalid (k, l) raises
+    InvalidParameters, with the failed condition spelled out, when
+    iteration starts.
     """
     n, k, l, sigma = inst.n, inst.k, inst.l, inst.sigma
     reason = check_parameters(n, k, l)
@@ -317,8 +283,14 @@ def solution_chunks(
         raise InvalidParameters(reason)
     tables = _check_tables(sigma, k, l)
     tuples = _constructed(n, k, l, sigma)
+    listed = 0
     for chunk in iter(lambda: list(itertools.islice(tuples, _CHUNK)), []):
+        listed += len(chunk)
         yield chunk, _check_chunk(chunk, *tables, k, l)
+    count = p_count(n, k)
+    if listed != count:
+        raise RuntimeError(f"constructed {listed} solutions of "
+                           f"(n={n}, k={k}, l={l}), expected {count}")
 
 
 def enumerate_solutions(inst: EquationInstance) -> list[Permutation]:

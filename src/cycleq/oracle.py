@@ -31,8 +31,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
-from .equation_solver import _require_cycle
-from .permutation import Permutation, canonical_sigma, compose, inverse, is_full_cycle
+from .permutation import (
+    Permutation,
+    _require_cycle,
+    canonical_sigma,
+    compose,
+    inverse,
+    is_full_cycle,
+)
 
 __all__ = [
     "BoundExceeded",

@@ -152,6 +152,17 @@ def canonical_sigma(n: int) -> Permutation:
     return Permutation(tuple(range(2, n + 1)) + (1,))
 
 
+def _require_cycle(n: int, sigma: Permutation | None) -> Permutation:
+    """sigma, or the shift when it is None, checked to be a full cycle of degree n."""
+    if sigma is None:
+        return canonical_sigma(n)
+    if sigma.degree != n:
+        raise ValueError(f"sigma has degree {sigma.degree}, expected {n}")
+    if n > 1 and not is_full_cycle(sigma):
+        raise ValueError(f"sigma must be a full cycle, got {sigma}")
+    return sigma
+
+
 def one_line(alpha: Permutation) -> str:
     return "[" + " ".join(str(v) for v in alpha.images) + "]"
 

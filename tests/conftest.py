@@ -5,16 +5,12 @@ from math import factorial, gcd
 
 import pytest
 
+from cycleq import equation_solver
 from cycleq.class_graph import GammaGraph, Vertex, build_gamma, tau
 from cycleq.counting import Column
-from cycleq.equation_solver import (
-    EquationInstance,
-    _require_cycle,
-    min_left_exponent,
-    solution_chunks,
-)
+from cycleq.equation_solver import EquationInstance, min_left_exponent, solution_chunks
 from cycleq.oracle import DEFAULT_BOUND, ClassReport, _check_bound
-from cycleq.permutation import Permutation, canonical_sigma, power
+from cycleq.permutation import Permutation, _require_cycle, canonical_sigma, power
 from cycleq.zn_ring import divisors, prime_factors, residue, totient
 
 
@@ -261,3 +257,21 @@ def solve_output_by_format(n: int, k: int, l: int, fmt: str = "text") -> str:
 @pytest.fixture(scope="session")
 def solve_by_format():
     return solve_output_by_format
+
+
+@pytest.fixture
+def edit_construction(monkeypatch):
+    """install(edit): from then on the solver's construction hands its
+    checks the list of its tuples after edit(tuples) has changed it in
+    place."""
+    real = equation_solver._constructed
+
+    def install(edit):
+        def edited(*args):
+            tuples = list(real(*args))
+            edit(tuples)
+            return iter(tuples)
+
+        monkeypatch.setattr(equation_solver, "_constructed", edited)
+
+    return install

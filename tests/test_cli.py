@@ -579,6 +579,36 @@ def test_failed_self_check_mid_stream(capsys, monkeypatch, tmp_path):
     assert os.listdir(tmp_path) == ["solutions.txt"]
 
 
+def test_miscounted_listing_exit_code(capsys, monkeypatch, edit_construction):
+    # a construction one solution short passes every row check and fails
+    # the tally after its last chunk: an internal error in verify, with
+    # nothing on stdout, and in solve after the rows already written
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+    golden = run(["solve", "4", "2", "2"], capsys)[1]
+    edit_construction(list.pop)
+    assert run(["verify", "2", "4"], capsys) == (
+        3, "", "internal error: constructed 1 solutions of (n=2, k=1, l=1), expected 2\n")
+    assert run(["solve", "4", "2", "2"], capsys) == (
+        3, "".join(golden.splitlines(keepends=True)[:-1]),
+        "internal error: constructed 7 solutions of (n=4, k=2, l=2), expected 8\n")
+
+
+def test_verify_reports_a_repeated_solution(capsys, monkeypatch, edit_construction):
+    # the 8 solutions of (n=4, k=2, l=2) listed with the first in place of
+    # the second: every row passes its check and the count holds, but the
+    # listing is not the solution set
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+
+    def repeat_first(tuples):
+        if len(tuples) == 8:
+            tuples[1] = tuples[0]
+
+    edit_construction(repeat_first)
+    assert run(["verify", "2", "4"], capsys) == (
+        1, "n=2 PASS\nn=3 PASS\n"
+           "n=4 FAIL: enumerator repeated a solution of (k=2, l=2)\n", "")
+
+
 def test_output_file_error(capsys, tmp_path):
     target = tmp_path / "missing-dir" / "count.txt"
     code, out, err = run(["compute", "12", "-o", str(target)], capsys)

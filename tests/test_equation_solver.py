@@ -220,6 +220,26 @@ def test_solution_chunks_rejects_invalid_pairs_when_iterated():
     assert "coprime" in str(exc.value)
 
 
+@pytest.mark.parametrize("n, k", [(4, 2), (7, 7)])
+@pytest.mark.parametrize("edit, change", [(list.pop, -1),
+                                          (lambda tuples: tuples.append(tuples[0]), 1)])
+def test_solution_chunks_count_the_construction(edit_construction, n, k, edit, change):
+    # one solution dropped, or one listed twice: every row passes its check
+    # and is handed out, and then the tally raises, in enumerate_solutions too
+    edit_construction(edit)
+    count = p_count(n, k)
+    listed = count + change
+    message = f"constructed {listed} solutions of (n={n}, k={k}, l={k}), expected {count}"
+    rows = []
+    with pytest.raises(RuntimeError) as exc:
+        for chunk, _ in solution_chunks(EquationInstance(n, k, k)):
+            rows += chunk
+    assert (str(exc.value), len(rows)) == (message, listed)
+    with pytest.raises(RuntimeError) as exc:
+        enumerate_solutions(EquationInstance(n, k, k))
+    assert str(exc.value) == message
+
+
 def test_check_solves_on_image_tuples():
     sigma = canonical_sigma(5)
     tables = _check_tables(sigma, 1, 2)
@@ -278,22 +298,22 @@ def test_chunk_check_passes_every_enumerated_chunk():
 
 def test_chunk_check_on_both_sides_of_the_byte_boundary():
     # up to n = 255 a chunk is checked as a byte block and comes with it;
-    # from 256 on it takes the wide-image path and comes with None. Both
-    # fail a bad tuple with the row check's message, including an image
-    # that does not fit a byte
-    for n, l, fits in [(255, 2, True), (256, 3, False)]:
-        tables = _check_tables(canonical_sigma(n), 1, l)
-        chunk, block = chunks_of(n, 1, l)[0]
-        assert len(chunk) == n
+    # from 256 on it is checked row by row and comes with None, for k = 1
+    # and for k = 2 < n alike. Both fail a bad tuple with the row check's
+    # message, including an image that does not fit a byte
+    for n, k, l, fits in [(255, 1, 2, True), (256, 1, 3, False), (256, 2, 2, False)]:
+        tables = _check_tables(canonical_sigma(n), k, l)
+        chunk, block = next(solution_chunks(EquationInstance(n, k, l)))
+        assert len(chunk) == min(p_count(n, k), _CHUNK)
         assert block == (bytes(itertools.chain.from_iterable(chunk)) if fits else None)
-        assert _check_chunk(chunk, *tables, 1, l) == block
+        assert _check_chunk(chunk, *tables, k, l) == block
         xi = chunk[7]
         for bad in (xi[1::-1] + xi[2:], xi[:1] + xi[:-1], xi[:-1],
                     xi[:-1] + (256,), xi[:-1] + (0,), (-1,) + xi[1:]):
             bad_chunk = chunk[:7] + [bad] + chunk[8:]
             with pytest.raises(RuntimeError) as exc:
-                _check_chunk(bad_chunk, *tables, 1, l)
-            assert str(exc.value) == row_check_message(bad, tables, 1, l)
+                _check_chunk(bad_chunk, *tables, k, l)
+            assert str(exc.value) == row_check_message(bad, tables, k, l)
 
 
 def test_chunk_check_on_image_tuples():
