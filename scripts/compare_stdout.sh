@@ -29,10 +29,13 @@ commands=(
   "solve 9 9 9"
   "solve 9 9 9 -f json"
   "solve 10 5 5"
+  "solve 10 10 10"
   "solve 12 4 4 -f json"
   "solve 12 6 6"
   "solve 12 6 6 -f json"
+  "solve 14 7 7 -f json"
   "solve 100 1 3 -f json"
+  "solve 254 2 2"
   "solve 255 1 2"
   "solve 256 1 3"
   "solve 256 2 2"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import stat
 import sys
@@ -154,28 +153,28 @@ def cmd_graph(ns: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def _row_text(n: int, joiner: str, sep: str,
-              end: str) -> Callable[[list[tuple[int, ...]], bytes | None], str]:
-    """A function from a checked chunk and its byte block to the text of its
+              end: str) -> Callable[[bytes | tuple[int, ...]], str]:
+    """A function from a checked block of solution_chunks to the text of its
     rows, each joiner + "[" + the images split by sep + end, as one %
-    format of the image tuples writes them.
+    format of the row's images writes them.
 
-    A block is laid out as fixed-width rows in a bytearray, each image in
-    three slots, the most a byte value needs, left aligned and padded with
-    NUL: one translate of a column by a digit table per column and digit
-    place, written as a stride, fills the slots, and deleting the NULs
-    from the decoded text gives the rows. A chunk with no block (n >= 256,
-    checked row by row) takes the % format.
+    A bytes block (n <= 255) is laid out as fixed-width rows in a
+    bytearray, each image in three slots, the most a byte value needs, left
+    aligned and padded with NUL: one translate of a column by a digit table
+    per column and digit place, written as a stride, fills the slots, and
+    deleting the NULs from the decoded text gives the rows. A tuple block
+    (n >= 256) takes the % format.
     """
     row = joiner + "[" + sep.join(["%s"] * n) + end
+    if n > 255:
+        return lambda block: "".join([row] * (len(block) // n)) % block
     template = bytearray(row.replace("%s", "\0\0\0"), "ascii")
     stride, first, step = len(template), len(joiner) + 1, 3 + len(sep)
     digits = "".join([str(v).ljust(3, "\0") for v in range(256)]).encode()
     planes = [digits[d::3] for d in range(3)]
 
-    def text(chunk: list[tuple[int, ...]], block: bytes | None) -> str:
-        if block is None:
-            return "".join([row] * len(chunk)) % tuple(itertools.chain.from_iterable(chunk))
-        out = template * len(chunk)
+    def text(block: bytes) -> str:
+        out = template * (len(block) // n)
         for c in range(n):
             column = block[c::n]
             for at, plane in enumerate(planes, first + c * step):
@@ -211,9 +210,9 @@ def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
         head, tail = f"count={count}\n", ""
 
     def pieces() -> Iterator[str]:
-        yield head + text(*first)[len(joiner):]
-        for chunk, block in chunks:
-            yield text(chunk, block)
+        yield head + text(first)[len(joiner):]
+        for block in chunks:
+            yield text(block)
         yield tail
 
     return EXIT_OK, pieces()
@@ -241,9 +240,10 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
                     f"formula says {expected}")
         # every row is checked and the rows are counted as they are made;
         # distinct rows then make the listing exactly the solution set
-        rows = [xi for chunk, _ in solution_chunks(EquationInstance(n, v.k, v.l))
-                for xi in chunk]
-        if len(set(rows)) != len(rows):
+        rows = set()
+        for block in solution_chunks(EquationInstance(n, v.k, v.l)):
+            rows.update(block[at:at + n] for at in range(0, len(block), n))
+        if len(rows) != expected:
             return f"enumerator repeated a solution of (k={v.k}, l={v.l})"
     if not sigma_independence_check(n, seed=seed, bound=bound, base=report):
         return "class structure varied across choices of full cycle"

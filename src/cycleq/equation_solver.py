@@ -6,22 +6,23 @@ xi(sigma^j(1)) = sigma^(j*l)(a). For general k the points {1..n} split into
 k blocks, the orbits of sigma^k, and a solution is one choice of a distinct
 target block plus an anchor value per block; that makes k! * (n/k)**k
 solutions. `solution_chunks` yields them in a fixed lexicographic order as
-lists of up to _CHUNK one-line image tuples, each list checked as a whole
-before it is handed out: every tuple must be a bijection of 1..n and, for
-k < n, satisfy the equation on the precomputed powers of sigma. For
-n <= 255 the check runs on the list as one bytes block of its images, which
-comes paired with the list and which the CLI formats from; wider images
-are checked tuple by tuple and pair the list with None. The lists are
-counted as they go, and a total other than k! * (n/k)**k is an error.
-`enumerate_solutions` wraps the tuples as Permutations.
+row-major blocks of up to _CHUNK rows of n images, each block checked as a
+whole before it is handed out: every row must be a bijection of 1..n and,
+for k < n, satisfy the equation on the precomputed powers of sigma. For
+n <= 255 every image fits a byte, and a block is built and checked as one
+bytes object by whole-column operations, with no Python object per
+solution, and the CLI formats it the same way; wider images are built as tuples, checked one by one
+and handed out as one flat tuple per block. The rows are counted as they
+go, and a total other than k! * (n/k)**k is an error.
+`enumerate_solutions` wraps the rows as Permutations.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from math import gcd
+from math import factorial, gcd
 from operator import itemgetter
 
 from .counting import p_count
@@ -41,9 +42,9 @@ __all__ = [
 ]
 
 
-# solutions per checked list: large enough that the C-level passes over a
-# list outweigh its per-list cost, small enough that a list and its printed
-# rows stay well under a megabyte
+# rows per checked block: large enough that the C-level passes over a
+# block outweigh its per-block cost, small enough that a block and its
+# printed rows stay well under a megabyte
 _CHUNK = 4096
 
 
@@ -193,86 +194,182 @@ def check_parameters(n: int, k: int, l: int) -> str | None:
 
 def _constructed(n: int, k: int, l: int,
                  sigma: Permutation) -> Iterator[tuple[int, ...]]:
-    """Every solution of a valid (n, k, l) as an image tuple, unchecked."""
+    """Every solution of a valid (n, k, l) as an image tuple, unchecked.
+
+    The construction for n >= 256, and the reference order of _blocks.
+    """
     if k == n:
         # sigma^n is the identity on both sides, so everything solves it
         return itertools.permutations(range(1, n + 1))
     part = block_partition(n, k, sigma)
-    sig_l = power(sigma, l)
+    targets = _orbits(sigma, l, part)
+    # a choice of anchors concatenates one orbit per block, block by block,
+    # so position p of xi reads entry place[p] of that concatenation
     m = n // k
-    # orbit[v] is v, sigma^l(v), ... of length n/k, the images an anchor
-    # value v gives its block in sigma^k orbit order. A choice of anchors
-    # concatenates one orbit per block, block by block, so position p of xi
-    # reads entry place[p] of that concatenation.
-    orbit = [()]
-    for v in range(1, n + 1):
-        seq = [v]
-        for _ in range(m - 1):
-            seq.append(sig_l(seq[-1]))
-        orbit.append(tuple(seq))
     place = [0] * n
     for i, block in enumerate(part.blocks):
         for j, pos in enumerate(block):
             place[pos - 1] = i * m + j
     gather = itemgetter(*place)
-    targets = [[orbit[v] for v in sorted(b)] for b in part.blocks]
     return (gather(tuple(itertools.chain.from_iterable(choice)))
             for assignment in itertools.permutations(range(k))
             for choice in itertools.product(*(targets[t] for t in assignment)))
 
 
-def _check_chunk(chunk: list[tuple[int, ...]], points: set[int],
-                 sig_k0: tuple[int, ...], sig_l1: tuple[int, ...],
-                 k: int, l: int) -> bytes | None:
-    """_check_solves for every tuple of a non-empty chunk; returns the
-    chunk's images as one row-major bytes block when n <= 255 and the
-    block passes, else None.
+def _orbits(sigma: Permutation, l: int,
+            part: BlockPartition) -> list[list[tuple[int, ...]]]:
+    """targets[t][c] is the orbit v, sigma^l(v), ... of length n/k of the
+    c-th least point v of block t: the images that anchor value gives a
+    block, in sigma^k orbit order."""
+    sig_l = power(sigma, l)
+    targets = []
+    for block in part.blocks:
+        orbits = []
+        for v in sorted(block):
+            seq = [v]
+            for _ in range(len(block) - 1):
+                seq.append(sig_l(seq[-1]))
+            orbits.append(tuple(seq))
+        targets.append(orbits)
+    return targets
 
-    For n <= 255, where an image fits a byte, the chunk is checked in a few
-    C-level passes over its rows as bytes. bytes.maketrans(row, ident) maps
-    row[i] to i with the later entry winning, so row translated by it is
-    ident exactly when no value repeats; it raises, as bytes() does for a
-    value outside 0..255, on a row whose length is not n. Deleting 1..n
-    from the block must then leave nothing, and for k < n the equation
-    compares n strided copies of the block with the block translated by
-    sigma^l. A chunk that fails these passes, and every chunk for
-    n >= 256, goes through _check_solves row by row, which names its first
-    bad tuple.
+
+def _blocks(n: int, k: int, l: int, sigma: Permutation) -> Iterator[bytes]:
+    """Every solution of a valid (n, k, l) with n <= 255, in the order of
+    _constructed, as row-major bytes blocks of 1 to _CHUNK rows, unchecked.
+
+    k == n lists S_n: a template holds the j! arrangements of the last j
+    positions as 0..j-1, and the placeholder j + c in each earlier column
+    c; one translate per prefix of the first n - j images maps the
+    placeholders onto the prefix and 0..j-1 onto the remaining values in
+    ascending order. For k < n a block fixes the assignment of target
+    blocks and the orbits chosen for the first g groups, and the later
+    groups vary within it, the last fastest. Each of their columns is one
+    strided copy of a precomputed column, in which every orbit's entry is
+    repeated once per row of the choices after it and the whole tiled once
+    per choice of the groups between g and it.
+    """
+    if k == n:
+        j = 1
+        while j < n and factorial(j + 1) <= _CHUNK:
+            j += 1
+        rows = factorial(j)
+        template = bytearray(rows * n)
+        for c in range(n - j):
+            template[c::n] = bytes((j + c,)) * rows
+        tail = bytes(itertools.chain.from_iterable(itertools.permutations(range(j))))
+        for c in range(j):
+            template[n - j + c::n] = tail[c::j]
+        template = bytes(template)
+        values = range(1, n + 1)
+        pad = bytes(256 - n)
+        for prefix in itertools.permutations(values, n - j):
+            rest = bytes(sorted(set(values).difference(prefix)))
+            yield template.translate(rest + bytes(prefix) + pad)
+        return
+    part = block_partition(n, k, sigma)
+    targets = _orbits(sigma, l, part)
+    m = n // k
+    g = k
+    while g and m ** (k - g + 1) <= _CHUNK:
+        g -= 1
+    rows = m ** (k - g)
+    # position p reads entry j of the orbit chosen for group i
+    fixed, varied = [], []
+    for i, block in enumerate(part.blocks):
+        for j, pos in enumerate(block):
+            (fixed if i < g else varied).append((pos - 1, i, j))
+    columns = [[[bytes(itertools.chain.from_iterable(
+                    [orbit[j]] * m ** (k - 1 - i) for orbit in orbits)) * m ** (i - g)
+                 for j in range(m)]
+                for i in range(g, k)]
+               for orbits in targets]
+    for assignment in itertools.permutations(range(k)):
+        for choice in itertools.product(*(targets[t] for t in assignment[:g])):
+            row = bytearray(n)
+            for p, i, j in fixed:
+                row[p] = choice[i][j]
+            block = row * rows
+            for p, i, j in varied:
+                block[p::n] = columns[assignment[i]][i - g][j]
+            yield bytes(block)
+
+
+def _rechunked(blocks: Iterable[bytes], n: int) -> Iterator[bytes]:
+    """The rows of the blocks, n bytes each, cut again into blocks of
+    _CHUNK rows; the last may be shorter."""
+    size = _CHUNK * n
+    pending = bytearray()
+    for block in blocks:
+        pending += block
+        while len(pending) >= size:
+            yield bytes(pending[:size])
+            del pending[:size]
+    if pending:
+        yield bytes(pending)
+
+
+def _check_block(block: bytes, points: set[int], sig_k0: tuple[int, ...],
+                 sig_l1: tuple[int, ...], k: int, l: int) -> bytes:
+    """_check_solves for every row of a row-major bytes block of images,
+    n <= 255 of them per row; returns the block.
+
+    The passes work on whole columns, block[c::n], and trust nothing of
+    the construction. Plane q of a one-hot code maps each point v with
+    (v - 1) // 8 == q to the bit 1 << (v - 1) % 8 and every other byte to
+    0. The columns translated by a plane, read as ints and OR-ed, have
+    every bit of the plane set in every row's byte exactly when each row
+    holds each of the plane's points; with all planes full and n entries
+    per row, no room is left for a repeat, 0 or a value past n. For k < n
+    the equation compares n strided copies of the block with the block
+    translated by sigma^l. A block that fails a pass, or whose length is
+    not a multiple of n, goes through _check_solves row by row, which names
+    its first bad row.
     """
     n = len(points)
-    if n <= 255:
-        ident = bytes(range(n))
-        try:
-            rows = list(map(bytes, chunk))
-            passes = (b"".join(map(bytes.translate, rows,
-                                   map(bytes.maketrans, rows, itertools.repeat(ident))))
-                      == ident * len(rows))
-        except ValueError:
-            passes = False
-        if passes:
-            block = b"".join(rows)
-            passes = not block.translate(None, bytes(range(1, n + 1)))
-        if passes and k < n:
-            left = bytearray(len(block))
-            for i, j in enumerate(sig_k0):
-                left[i::n] = block[j::n]
-            passes = left == block.translate(bytes(sig_l1).ljust(256, b"\0"))
-        if passes:
-            return block
+    rows, rest = divmod(len(block), n)
+    passes = not rest
+    columns = [block[c::n] for c in range(n)]
+    planes = [bytearray(256) for _ in range(0, n, 8)]
+    for v in points:
+        planes[(v - 1) // 8][v] = 1 << (v - 1) % 8
+    for plane in planes:
+        if not passes:
+            break
+        seen = 0
+        for column in columns:
+            seen |= int.from_bytes(column.translate(plane), "little")
+        passes = seen == int.from_bytes(bytes((sum(plane),)) * rows, "little")
+    if passes and k < n:
+        left = bytearray(len(block))
+        for i, j in enumerate(sig_k0):
+            left[i::n] = columns[j]
+        passes = left == block.translate(bytes(sig_l1).ljust(256, b"\0"))
+    if not passes:
+        for at in range(0, len(block), n):
+            _check_solves(tuple(block[at:at + n]), points, sig_k0, sig_l1, k, l)
+    return block
+
+
+def _check_tuples(chunk: list[tuple[int, ...]], points: set[int],
+                  sig_k0: tuple[int, ...], sig_l1: tuple[int, ...],
+                  k: int, l: int) -> tuple[int, ...]:
+    """_check_solves for every tuple of a chunk, the check for n >= 256;
+    returns the chunk's images as one row-major tuple."""
     for xi in chunk:
         _check_solves(xi, points, sig_k0, sig_l1, k, l)
-    return None
+    return tuple(itertools.chain.from_iterable(chunk))
 
 
-def solution_chunks(
-        inst: EquationInstance) -> Iterator[tuple[list[tuple[int, ...]], bytes | None]]:
-    """Every solution as a one-line image tuple, in a fixed order, in lists
-    of _CHUNK (the last may be shorter), each paired with its byte block.
+def solution_chunks(inst: EquationInstance) -> Iterator[bytes | tuple[int, ...]]:
+    """Every solution, in a fixed order, as row-major blocks of n images
+    per row and _CHUNK rows per block (the last may be shorter).
 
-    Each list is checked as a whole before it is yielded, with the property
-    _check_solves proves for one tuple. The block is the list's images as
-    one row-major bytes block, or None for n >= 256. The lists are counted
-    as they are yielded: after the last one, a total other than
+    A block is bytes for n <= 255, where every image fits a byte, and a
+    tuple of ints otherwise; either way block[r * n:(r + 1) * n] is row r.
+    Each block is checked as a whole before it is yielded, with the
+    property _check_solves proves for one row. The rows are counted as
+    they are yielded: after the last block, a total other than
     k! * (n/k)**k raises RuntimeError. Invalid (k, l) raises
     InvalidParameters, with the failed condition spelled out, when
     iteration starts.
@@ -282,11 +379,18 @@ def solution_chunks(
     if reason is not None:
         raise InvalidParameters(reason)
     tables = _check_tables(sigma, k, l)
-    tuples = _constructed(n, k, l, sigma)
+    if n <= 255:
+        chunks = _rechunked(_blocks(n, k, l, sigma), n)
+        check = _check_block
+    else:
+        tuples = _constructed(n, k, l, sigma)
+        chunks = iter(lambda: list(itertools.islice(tuples, _CHUNK)), [])
+        check = _check_tuples
     listed = 0
-    for chunk in iter(lambda: list(itertools.islice(tuples, _CHUNK)), []):
-        listed += len(chunk)
-        yield chunk, _check_chunk(chunk, *tables, k, l)
+    for chunk in chunks:
+        block = check(chunk, *tables, k, l)
+        listed += len(block) // n
+        yield block
     count = p_count(n, k)
     if listed != count:
         raise RuntimeError(f"constructed {listed} solutions of "
@@ -299,7 +403,9 @@ def enumerate_solutions(inst: EquationInstance) -> list[Permutation]:
     The result has exactly k! * (n/k)**k members. Invalid (k, l) raises
     InvalidParameters with the failed condition spelled out.
     """
-    return [Permutation(xi) for chunk, _ in solution_chunks(inst) for xi in chunk]
+    n = inst.n
+    return [Permutation(tuple(block[at:at + n]))
+            for block in solution_chunks(inst) for at in range(0, len(block), n)]
 
 
 def min_left_exponent(xi: Permutation,

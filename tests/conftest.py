@@ -243,8 +243,8 @@ def solutions_by_scan():
 def solve_output_by_format(n: int, k: int, l: int, fmt: str = "text") -> str:
     """The stdout of `cycleq solve n k l -f fmt`, each row written by one %
     format of its image tuple. The reference for the solve rows."""
-    images = [xi for chunk, _ in solution_chunks(EquationInstance(n, k, l))
-              for xi in chunk]
+    images = [tuple(block[at:at + n]) for block in solution_chunks(EquationInstance(n, k, l))
+              for at in range(0, len(block), n)]
     if fmt == "json":
         row = "[" + ", ".join(["%s"] * n) + "]"
         body = ", ".join(row % xi for xi in images)
@@ -262,16 +262,17 @@ def solve_by_format():
 @pytest.fixture
 def edit_construction(monkeypatch):
     """install(edit): from then on the solver's construction hands its
-    checks the list of its tuples after edit(tuples) has changed it in
-    place."""
-    real = equation_solver._constructed
+    checks its rows, as the list of their image tuples after edit(tuples)
+    has changed it in place, in one block."""
+    real = equation_solver._blocks
 
     def install(edit):
-        def edited(*args):
-            tuples = list(real(*args))
+        def edited(n, *args):
+            flat = b"".join(real(n, *args))
+            tuples = [tuple(flat[at:at + n]) for at in range(0, len(flat), n)]
             edit(tuples)
-            return iter(tuples)
+            yield bytes(itertools.chain.from_iterable(tuples))
 
-        monkeypatch.setattr(equation_solver, "_constructed", edited)
+        monkeypatch.setattr(equation_solver, "_blocks", edited)
 
     return install

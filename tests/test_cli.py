@@ -536,15 +536,21 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 
 def corrupt_construction(monkeypatch, index, corrupt):
-    """Make the construction hand the solver's checks corrupt(xi) in place of
-    its tuple number index."""
-    real = es._constructed
+    """Make the construction hand the solver's checks the images of
+    corrupt(xi) in place of its row number index, xi the row's image
+    tuple."""
+    real = es._blocks
 
-    def corrupted(*args):
-        return (corrupt(xi) if i == index else xi
-                for i, xi in enumerate(real(*args)))
+    def corrupted(n, *args):
+        start = 0
+        for block in real(n, *args):
+            at = (index - start) * n
+            start += len(block) // n
+            if 0 <= at < len(block):
+                block = block[:at] + bytes(corrupt(tuple(block[at:at + n]))) + block[at + n:]
+            yield block
 
-    monkeypatch.setattr(es, "_constructed", corrupted)
+    monkeypatch.setattr(es, "_blocks", corrupted)
 
 
 def test_failed_self_check_exit_code(capsys, monkeypatch):

@@ -1,20 +1,26 @@
 import functools
 import itertools
 from math import factorial, gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycleq.class_graph import build_gamma
 from cycleq.counting import p_count
+import cycleq.equation_solver as es
 from cycleq.equation_solver import (
     EquationInstance,
     InvalidParameters,
     NoSolution,
     _CHUNK,
-    _check_chunk,
+    _blocks,
+    _check_block,
     _check_solves,
     _check_tables,
+    _check_tuples,
+    _constructed,
+    _rechunked,
     block_partition,
     check_parameters,
     enumerate_solutions,
@@ -204,13 +210,21 @@ def test_enumerate_rejects_invalid_pairs():
     assert "coprime" in str(exc.value)
 
 
+def rows_of(block, n):
+    """The image tuples of a row-major block, n images per row."""
+    return [tuple(block[at:at + n]) for at in range(0, len(block), n)]
+
+
 def test_solution_chunks_are_the_enumerated_solutions():
-    # enumerate_solutions wraps the image tuples, in the same order
+    # the rows of the blocks are the tuples of the construction, and
+    # enumerate_solutions wraps them, in the same order
     for n in range(1, 9):
         for k, l in valid_pairs(n) + [(n, n)]:
             inst = EquationInstance(n, k, l)
-            images = [xi for chunk, _ in solution_chunks(inst) for xi in chunk]
-            assert all(type(xi) is tuple for xi in images)
+            blocks = list(solution_chunks(inst))
+            assert all(type(block) is bytes for block in blocks)
+            images = [xi for block in blocks for xi in rows_of(block, n)]
+            assert images == list(_constructed(n, k, l, inst.sigma))
             assert images == [s.images for s in enumerate_solutions(inst)]
 
 
@@ -232,8 +246,8 @@ def test_solution_chunks_count_the_construction(edit_construction, n, k, edit, c
     message = f"constructed {listed} solutions of (n={n}, k={k}, l={k}), expected {count}"
     rows = []
     with pytest.raises(RuntimeError) as exc:
-        for chunk, _ in solution_chunks(EquationInstance(n, k, k)):
-            rows += chunk
+        for block in solution_chunks(EquationInstance(n, k, k)):
+            rows += rows_of(block, n)
     assert (str(exc.value), len(rows)) == (message, listed)
     with pytest.raises(RuntimeError) as exc:
         enumerate_solutions(EquationInstance(n, k, k))
@@ -271,8 +285,11 @@ CHUNK_CASES = ([(n, k, l) for n in range(1, 9) for k, l in valid_pairs(n) + [(n,
 
 @functools.cache
 def chunks_of(n, k, l):
-    """The (chunk, block) pairs of solution_chunks."""
-    return list(solution_chunks(EquationInstance(n, k, l)))
+    """The blocks of solution_chunks, each with the list of the tuples of
+    the construction that it holds."""
+    tuples = _constructed(n, k, l, canonical_sigma(n))
+    return [(block, list(itertools.islice(tuples, _CHUNK)))
+            for block in solution_chunks(EquationInstance(n, k, l))]
 
 
 def row_check_message(xi, tables, k, l):
@@ -284,42 +301,61 @@ def row_check_message(xi, tables, k, l):
     return None
 
 
+def assert_checks_agree(check, chunk, xi, tables, k, l):
+    """check(chunk, ...) raises what the row check says about xi, or
+    passes where the row check does."""
+    expected = row_check_message(xi, tables, k, l)
+    if expected is None:
+        check(chunk, *tables, k, l)
+    else:
+        with pytest.raises(RuntimeError) as exc:
+            check(chunk, *tables, k, l)
+        assert str(exc.value) == expected
+
+
 def test_chunk_check_passes_every_enumerated_chunk():
     for n, k, l in CHUNK_CASES:
         tables = _check_tables(canonical_sigma(n), k, l)
         chunks = chunks_of(n, k, l)
         full, rest = divmod(p_count(n, k), _CHUNK)
-        assert [len(c) for c, _ in chunks] == [_CHUNK] * full + [rest] * (rest > 0)
-        for chunk, block in chunks:
-            # images fit a byte, so the chunk comes with its byte block
-            assert block == bytes(itertools.chain.from_iterable(chunk))
-            assert _check_chunk(chunk, *tables, k, l) == block
+        assert [len(block) // n for block, _ in chunks] == [_CHUNK] * full + [rest] * (rest > 0)
+        for block, chunk in chunks:
+            # images fit a byte, so the block is the bytes of the tuples
+            flat = tuple(itertools.chain.from_iterable(chunk))
+            assert block == bytes(flat)
+            assert _check_block(block, *tables, k, l) is block
+            assert _check_tuples(chunk, *tables, k, l) == flat
 
 
 def test_chunk_check_on_both_sides_of_the_byte_boundary():
-    # up to n = 255 a chunk is checked as a byte block and comes with it;
-    # from 256 on it is checked row by row and comes with None, for k = 1
-    # and for k = 2 < n alike. Both fail a bad tuple with the row check's
-    # message, including an image that does not fit a byte
+    # up to n = 255 a chunk is a checked bytes block; from 256 on it is a
+    # checked tuple, for k = 1 and for k = 2 < n alike. Both fail a bad row
+    # with the row check's message: the tuple check every kind, and the
+    # block check those a block can hold
     for n, k, l, fits in [(255, 1, 2, True), (256, 1, 3, False), (256, 2, 2, False)]:
         tables = _check_tables(canonical_sigma(n), k, l)
-        chunk, block = next(solution_chunks(EquationInstance(n, k, l)))
-        assert len(chunk) == min(p_count(n, k), _CHUNK)
-        assert block == (bytes(itertools.chain.from_iterable(chunk)) if fits else None)
-        assert _check_chunk(chunk, *tables, k, l) == block
+        block = next(solution_chunks(EquationInstance(n, k, l)))
+        chunk = list(itertools.islice(_constructed(n, k, l, canonical_sigma(n)), _CHUNK))
+        assert len(block) == n * len(chunk) == n * min(p_count(n, k), _CHUNK)
+        flat = tuple(itertools.chain.from_iterable(chunk))
+        assert block == (bytes(flat) if fits else flat)
+        assert _check_tuples(chunk, *tables, k, l) == flat
         xi = chunk[7]
         for bad in (xi[1::-1] + xi[2:], xi[:1] + xi[:-1], xi[:-1],
                     xi[:-1] + (256,), xi[:-1] + (0,), (-1,) + xi[1:]):
+            assert row_check_message(bad, tables, k, l) is not None
             bad_chunk = chunk[:7] + [bad] + chunk[8:]
-            with pytest.raises(RuntimeError) as exc:
-                _check_chunk(bad_chunk, *tables, k, l)
-            assert str(exc.value) == row_check_message(bad, tables, k, l)
+            assert_checks_agree(_check_tuples, bad_chunk, bad, tables, k, l)
+            if fits and len(bad) == n and all(0 <= v <= 255 for v in bad):
+                bad_block = block[:7 * n] + bytes(bad) + block[8 * n:]
+                assert_checks_agree(_check_block, bad_block, bad, tables, k, l)
 
 
 def test_chunk_check_on_image_tuples():
     # the cases of test_check_solves_on_image_tuples, among the genuine
     # solutions of a chunk: a bijection that fails the equation, and
-    # non-bijections, with (1, 1, 3, 3) satisfying the equation at n = 4
+    # non-bijections, with (1, 1, 3, 3) satisfying the equation at n = 4.
+    # The block check takes the ones a block can hold, as rows of n bytes
     for n, k, l, xi, problem in [
             (5, 1, 2, (1, 2, 3, 4, 5), "fails sigma"),
             (3, 3, 3, (1, 1, 3), "is not a bijection"),
@@ -328,25 +364,29 @@ def test_chunk_check_on_image_tuples():
             (3, 3, 3, (1, 2, 3, 4), "is not a bijection"),
             (3, 3, 3, (0, 1, 2), "is not a bijection")]:
         tables = _check_tables(canonical_sigma(n), k, l)
-        first = chunks_of(n, k, l)[0][0]
+        assert problem in row_check_message(xi, tables, k, l)
+        block, first = chunks_of(n, k, l)[0]
         for chunk in ([xi], [xi] + first, first + [xi]):
-            with pytest.raises(RuntimeError) as exc:
-                _check_chunk(chunk, *tables, k, l)
-            assert str(exc.value) == row_check_message(xi, tables, k, l)
-            assert problem in str(exc.value)
+            assert_checks_agree(_check_tuples, chunk, xi, tables, k, l)
+            if len(xi) == n:
+                assert_checks_agree(_check_block, bytes(itertools.chain.from_iterable(chunk)),
+                                    xi, tables, k, l)
 
 
-CORRUPTIONS = ("swap", "repeat", "drop", "add", "zero", "past_n", "minus_one",
+# a byte block holds the first four; a dropped or added image, or one that
+# does not fit a byte, only a tuple
+CORRUPTIONS = ("swap", "repeat", "zero", "past_n", "drop", "add", "minus_one",
                "past_byte")
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_chunk_check_agrees_with_row_check(data):
-    # one tuple of a real chunk corrupted: the chunk check raises exactly
-    # what the row check says about that tuple, and passes when it does
+    # one row of a real chunk corrupted: the block check, or the tuple
+    # check for what a block cannot hold, raises exactly what the row check
+    # says about that row, and passes when it does
     n, k, l = data.draw(st.sampled_from(CHUNK_CASES))
-    chunk = list(data.draw(st.sampled_from(chunks_of(n, k, l)))[0])
+    block, chunk = data.draw(st.sampled_from(chunks_of(n, k, l)))
     r = data.draw(st.integers(0, len(chunk) - 1))
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     kind = data.draw(st.sampled_from(CORRUPTIONS))
@@ -360,17 +400,67 @@ def test_chunk_check_agrees_with_row_check(data):
     elif kind == "add":
         xi.insert(i, data.draw(st.integers(0, n + 1)))
     else:
-        # -1 and 256 do not fit a byte
         xi[i] = {"zero": 0, "past_n": n + 1, "minus_one": -1, "past_byte": 256}[kind]
-    chunk[r] = tuple(xi)
+    xi = tuple(xi)
     tables = _check_tables(canonical_sigma(n), k, l)
-    expected = row_check_message(chunk[r], tables, k, l)
-    if expected is None:
-        _check_chunk(chunk, *tables, k, l)
+    if kind in CORRUPTIONS[:4]:
+        bad = block[:r * n] + bytes(xi) + block[(r + 1) * n:]
+        assert_checks_agree(_check_block, bad, xi, tables, k, l)
     else:
-        with pytest.raises(RuntimeError) as exc:
-            _check_chunk(chunk, *tables, k, l)
-        assert str(exc.value) == expected
+        assert_checks_agree(_check_tuples, chunk[:r] + [xi] + chunk[r + 1:], xi, tables, k, l)
+
+
+def test_block_check_rejects_what_column_sums_keep():
+    # a block check fails each of these with the row check's message for
+    # the first bad row: two rows swapping their entries in one column,
+    # which keeps every column's multiset, a repeated value, 0 and n + 1
+    for n, k, l in [(9, 9, 9), (12, 4, 4), (10, 5, 5), (16, 2, 6)]:
+        tables = _check_tables(canonical_sigma(n), k, l)
+        block, chunk = chunks_of(n, k, l)[0]
+        r1, r2 = 3, len(chunk) - 2
+        c = next(c for c in range(n) if chunk[r1][c] != chunk[r2][c])
+        swapped = bytearray(block)
+        swapped[r1 * n + c], swapped[r2 * n + c] = chunk[r2][c], chunk[r1][c]
+        first_bad = chunk[r1][:c] + (chunk[r2][c],) + chunk[r1][c + 1:]
+        edits = [(bytes(swapped), first_bad)]
+        for value in (chunk[r1][1], 0, n + 1):
+            xi = (value,) + chunk[r1][1:]
+            edits.append((block[:r1 * n] + bytes(xi) + block[(r1 + 1) * n:], xi))
+        for bad, xi in edits:
+            message = row_check_message(xi, tables, k, l)
+            assert message is not None
+            with pytest.raises(RuntimeError) as exc:
+                _check_block(bad, *tables, k, l)
+            assert str(exc.value) == message
+
+
+# valid (n, k, l) with n <= 16 and at most 50 000 solutions, and the least
+# and greatest l for k <= 2 at n = 254 and 255, where images just fit a byte
+BLOCK_CASES = ([(n, k, l) for n in range(1, 17) for k, l in valid_pairs(n) + [(n, n)]
+                if p_count(n, k) <= 50_000]
+               + [(254, 1, 1), (254, 1, 253), (254, 2, 2), (254, 2, 252),
+                  (255, 1, 1), (255, 1, 254)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BLOCK_CASES), st.sampled_from([1, 2, 7, 100, _CHUNK]))
+def test_blocks_are_the_constructed_tuples(case, rows):
+    # the byte construction, cut into chunks, holds the tuples of the
+    # reference construction in their order, chunk for chunk, whatever the
+    # chunk size; each raw block holds 1 to _CHUNK whole rows
+    n, k, l = case
+    sigma = canonical_sigma(n)
+    with mock.patch.object(es, "_CHUNK", rows):
+        for block in _blocks(n, k, l, sigma):
+            assert 1 <= len(block) // n <= rows and len(block) % n == 0
+        tuples = _constructed(n, k, l, sigma)
+        listed = 0
+        for block in _rechunked(_blocks(n, k, l, sigma), n):
+            chunk = list(itertools.islice(tuples, rows))
+            assert block == bytes(itertools.chain.from_iterable(chunk))
+            listed += len(chunk)
+        assert next(tuples, None) is None
+        assert listed == p_count(n, k)
 
 
 def test_scaling_closure():
