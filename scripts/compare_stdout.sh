@@ -16,6 +16,9 @@ base=$1
 head=$2
 
 commands=(
+  "--help"
+  "verify --help"
+  "solve --help"
   "graph 12"
   "graph 5040 -f dot"
   "graph 5040 -f json"
@@ -56,9 +59,11 @@ errors=(
   "matrix -1"
   "solve 6 1 2"
   "solve 4 2 5"
+  "solve 12 4 6"
   "verify 9 9"
   "verify 2 3 --oracle-bound 2"
   "CYCLEQ_ORACLE_BOUND=junk verify 2 3"
+  "CYCLEQ_ORACLE_BOUND=2 verify 3 3"
 )
 
 out=$(mktemp -d)

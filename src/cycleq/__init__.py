@@ -7,23 +7,40 @@ the divisor graph for export and verification, solves and enumerates the
 underlying equations constructively, and cross-checks everything for small n
 with a brute-force pass over the whole group.
 
-Every name in a library module's __all__ is importable from here.
+Every name in a library module's __all__ is importable from here. The
+modules load on first use, so importing the package alone loads none of
+them, and a CLI command loads only the modules it runs.
 """
 
-from . import class_graph, counting, equation_solver, oracle, permutation, zn_ring
-from .class_graph import *
-from .counting import *
-from .equation_solver import *
-from .oracle import *
-from .permutation import *
-from .zn_ring import *
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__: list[str] = []
-__all__ += class_graph.__all__
-__all__ += counting.__all__
-__all__ += equation_solver.__all__
-__all__ += oracle.__all__
-__all__ += permutation.__all__
-__all__ += zn_ring.__all__
+# The brute-force oracle's defaults live here, where the CLI's verify
+# options read them without loading the oracle; cycleq.oracle exports both.
+DEFAULT_BOUND = 8
+DEFAULT_SEED = 1729
+
+_MODULES = ("class_graph", "counting", "equation_solver", "oracle",
+            "permutation", "zn_ring")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return import_module(f".{name}", __name__)
+    if name == "__all__":
+        value = [n for m in _MODULES for n in __getattr__(m).__all__]
+    else:
+        for m in _MODULES:
+            module = __getattr__(m)
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULES, "__all__", *__getattr__("__all__")})

@@ -16,21 +16,15 @@ import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator
 
-from .class_graph import build_gamma, export_dot, export_json
+# a command imports what it runs beyond counting and zn_ring itself, so
+# that a start loads only the modules its command uses
+from . import DEFAULT_BOUND, DEFAULT_SEED
 from .counting import (
     InexactDivision,
     count_table,
     p_count,
     predicted_size_histogram,
     q_count,
-)
-from .equation_solver import EquationInstance, InvalidParameters, solution_chunks
-from .oracle import (
-    DEFAULT_BOUND,
-    DEFAULT_SEED,
-    BoundExceeded,
-    enumerate_classes,
-    sigma_independence_check,
 )
 from .zn_ring import to_decimal
 
@@ -146,6 +140,7 @@ def cmd_matrix(ns: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def cmd_graph(ns: argparse.Namespace) -> tuple[int, list[str]]:
+    from .class_graph import build_gamma, export_dot, export_json
     g = build_gamma(ns.n)
     if ns.format == "json":
         return EXIT_OK, [export_json(g) + "\n"]
@@ -189,6 +184,7 @@ def _row_text(n: int, joiner: str, sep: str,
 
 
 def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
+    from .equation_solver import EquationInstance, InvalidParameters, solution_chunks
     try:
         inst = EquationInstance(ns.n, ns.k, ns.l)
     except ValueError as e:  # exponents outside 1..n
@@ -196,7 +192,10 @@ def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
     chunks = solution_chunks(inst)
     # an invalid pair, or a failed check of the first chunk, raises here,
     # before the first byte is written
-    first = next(chunks)
+    try:
+        first = next(chunks)
+    except InvalidParameters as e:
+        raise UsageError(f"no solution family: {e}") from e
     count = p_count(ns.n, ns.k)
     # the bytes of one_line in text and of str(list(images)) in json; every
     # json row is led by ", ", which the first row drops
@@ -220,6 +219,9 @@ def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
 
 def _verify_one(n: int, bound: int, seed: int) -> str | None:
     """None when n checks out, else a short reason."""
+    from .class_graph import build_gamma
+    from .equation_solver import EquationInstance, solution_chunks
+    from .oracle import enumerate_classes, sigma_independence_check
     # the predicted class sizes; their multiplicities sum to |Q_n|
     predicted = predicted_size_histogram(n)
     total = sum(predicted.values())
@@ -251,10 +253,14 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
 
 
 def cmd_verify(ns: argparse.Namespace) -> tuple[int, list[str]]:
+    from .oracle import BoundExceeded
     lines = []
     code = EXIT_OK
     for n in range(ns.n_from, ns.n_to + 1):
-        problem = _verify_one(n, ns.oracle_bound, ns.seed)
+        try:
+            problem = _verify_one(n, ns.oracle_bound, ns.seed)
+        except BoundExceeded as e:
+            raise UsageError(str(e)) from e
         if problem is None:
             lines.append(f"n={n} PASS")
         else:
@@ -348,12 +354,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _write_stdout(pieces)
     except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidParameters as e:
-        print(f"error: no solution family: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except BoundExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (InexactDivision, RuntimeError) as e:

@@ -12,10 +12,8 @@ InexactDivision rather than rounding anything over.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
-from typing import NamedTuple
 
 from .zn_ring import InexactDivision  # noqa: F401  still importable from here
 from .zn_ring import _exact_div, divisors, is_prime, to_decimal, totient
@@ -76,20 +74,16 @@ def h_count(n: int, k: int) -> int:
     return _h_values(n, divisors(k))[-1].h
 
 
-class Column(NamedTuple):
-    k: int
-    phi: int      # totient(n/k) = number of vertices with first coordinate k
-    h: int        # classes per such vertex
-    product: int  # phi * h
+# phi = totient(n/k), the number of vertices with first coordinate k;
+# h = classes per such vertex; product = phi * h
+Column = namedtuple("Column", "k phi h product")
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Per-divisor tally whose grand total is the class count for n."""
+class CountTable(namedtuple("CountTable", "n columns total")):
+    """Per-divisor tally whose grand total is the class count for n: n, the
+    tuple of Columns in ascending k, and the total."""
 
-    n: int
-    columns: tuple[Column, ...]
-    total: int
+    __slots__ = ()
 
     def to_text(self) -> str:
         labels = ("k|n", "phi(n/k)", "h(n,k)", "phi*h")
@@ -111,17 +105,16 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        # counts grow fast, so they travel as decimal strings
-        doc = {
-            "n": self.n,
-            "columns": [
-                {"k": c.k, "phi": to_decimal(c.phi), "h": to_decimal(c.h),
-                 "product": to_decimal(c.product)}
-                for c in self.columns
-            ],
-            "total": to_decimal(self.total),
-        }
-        return json.dumps(doc)
+        """{"n": n, "columns": [{"k": k, "phi": "...", "h": "...",
+        "product": "..."}, ...], "total": "..."}, byte for byte what
+        json.dumps writes for it. Counts grow fast, so they travel as
+        decimal strings."""
+        columns = ", ".join([
+            f'{{"k": {c.k}, "phi": "{to_decimal(c.phi)}", '
+            f'"h": "{to_decimal(c.h)}", "product": "{to_decimal(c.product)}"}}'
+            for c in self.columns])
+        return (f'{{"n": {self.n}, "columns": [{columns}], '
+                f'"total": "{to_decimal(self.total)}"}}')
 
 
 def count_table(n: int) -> CountTable:

@@ -11,9 +11,10 @@ whole before it is handed out: every row must be a bijection of 1..n and,
 for k < n, satisfy the equation on the precomputed powers of sigma. For
 n <= 255 every image fits a byte, and a block is built and checked as one
 bytes object by whole-column operations, with no Python object per
-solution, and the CLI formats it the same way; wider images are built as tuples, checked one by one
-and handed out as one flat tuple per block. The rows are counted as they
-go, and a total other than k! * (n/k)**k is an error.
+solution, and the CLI formats it the same way; wider images are built as
+tuples, checked one by one and handed out as one flat tuple per block. The
+rows are counted as they go, and a total other than k! * (n/k)**k is an
+error.
 `enumerate_solutions` wraps the rows as Permutations.
 """
 

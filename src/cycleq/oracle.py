@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
+from . import DEFAULT_BOUND, DEFAULT_SEED
 from .permutation import (
     Permutation,
     _require_cycle,
@@ -52,8 +53,6 @@ __all__ = [
     "sigma_independence_check",
 ]
 
-DEFAULT_BOUND = 8
-DEFAULT_SEED = 1729
 _CONJUGATES = 3
 
 

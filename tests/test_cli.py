@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cycleq.equation_solver as es
-from cycleq import cli
+from cycleq import cli, oracle
 from cycleq.cli import ENV_ORACLE_BOUND, build_parser, main
 from cycleq.class_graph import build_gamma, export_dot
 from cycleq.counting import InexactDivision, count_table, q_count
@@ -410,7 +410,7 @@ def test_verify_reports_failure(capsys, monkeypatch):
         real = enumerate_classes(n, sigma, bound, with_classes)
         return dataclasses.replace(real, class_count=real.class_count + 1)
 
-    monkeypatch.setattr(cli, "enumerate_classes", doctored)
+    monkeypatch.setattr(oracle, "enumerate_classes", doctored)
     code, out, err = run(["verify", "2", "2"], capsys)
     assert code == 1
     assert out.startswith("n=2 FAIL:")
@@ -422,7 +422,7 @@ def test_verify_reports_wrong_solution_count(capsys, monkeypatch):
     # off by one or one pair missing: the equation check must say FAIL and
     # exit 1, not raise
     monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
-    real = cli.enumerate_classes
+    real = oracle.enumerate_classes
 
     def doctoring(change):
         def doctored(n, sigma=None, bound=8, with_classes=False):
@@ -432,11 +432,11 @@ def test_verify_reports_wrong_solution_count(capsys, monkeypatch):
             return dataclasses.replace(report, solution_counts=counts)
         return doctored
 
-    monkeypatch.setattr(cli, "enumerate_classes",
+    monkeypatch.setattr(oracle, "enumerate_classes",
                         doctoring(lambda c: c.update({(2, 2): c[2, 2] + 1})))
     assert run(["verify", "4", "4"], capsys) == (
         1, "n=4 FAIL: equation (k=2, l=2) has 9 solutions, formula says 8\n", "")
-    monkeypatch.setattr(cli, "enumerate_classes",
+    monkeypatch.setattr(oracle, "enumerate_classes",
                         doctoring(lambda c: c.pop((1, 3))))
     assert run(["verify", "4", "4"], capsys) == (
         1, "n=4 FAIL: equation (k=1, l=3) has 0 solutions, formula says 4\n", "")
@@ -447,7 +447,6 @@ def test_verify_walks_each_shift_once(capsys, monkeypatch):
     # solution counts and is the base of the sigma-independence check too:
     # per n one walk for the shift, one for its inverse and one per seeded
     # conjugate, and no other pass over S_n
-    import cycleq.oracle as oracle
     monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
     walks = []
     counts = []
@@ -467,7 +466,6 @@ def test_verify_walks_each_shift_once(capsys, monkeypatch):
             return walk(n, sigma, bound, with_classes)
         return wrapper
 
-    monkeypatch.setattr(cli, "enumerate_classes", recording(cli.enumerate_classes))
     monkeypatch.setattr(oracle, "enumerate_classes", recording(oracle.enumerate_classes))
     code, out, err = run(["verify", "2", "6"], capsys)
     assert (code, err) == (0, "")
@@ -835,6 +833,33 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "3326788\n"
+
+
+@pytest.mark.parametrize("code, loaded, absent", [
+    ("import cycleq",
+     [], ["cycleq.class_graph", "cycleq.counting", "cycleq.equation_solver",
+          "cycleq.oracle", "cycleq.permutation", "cycleq.zn_ring"]),
+    ("from cycleq.cli import main; main(['compute', '2'])",
+     ["cycleq.counting", "cycleq.zn_ring"],
+     ["cycleq.class_graph", "cycleq.equation_solver", "cycleq.oracle",
+      "cycleq.permutation", "dataclasses", "json"]),
+    ("from cycleq.cli import main; main(['solve', '3', '3', '3'])",
+     ["cycleq.equation_solver", "cycleq.permutation"],
+     ["cycleq.class_graph", "cycleq.oracle"]),
+])
+def test_a_start_loads_only_what_its_command_runs(code, loaded, absent):
+    # -S keeps the site module's own imports out of sys.modules
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"{code}\nimport sys; print(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    modules = set(proc.stdout.splitlines()[-1].split())
+    assert "cycleq" in modules
+    assert modules.issuperset(loaded)
+    assert modules.isdisjoint(absent)
 
 
 def test_console_script():

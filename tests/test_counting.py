@@ -15,7 +15,7 @@ from cycleq.counting import (
     wilson_check,
 )
 from cycleq.oracle import count_equation_solutions
-from cycleq.zn_ring import divisors, is_prime, totient
+from cycleq.zn_ring import divisors, is_prime, to_decimal, totient
 
 # class counts for n = 2..19, cross-checked against the brute-force oracle
 # for n <= 8 (see test_oracle / test_acceptance) and frozen here
@@ -183,6 +183,21 @@ def test_table_json_uses_decimal_strings():
     assert doc["columns"][0] == {"k": 1, "phi": "4", "h": "1", "product": "4"}
     assert doc["columns"][-1] == {"k": 12, "phi": "1", "h": "3326054",
                                   "product": "3326054"}
+
+
+def test_table_json_is_what_json_dumps_writes():
+    for n in [*range(1, 401), 2520, 5040]:
+        table = count_table(n)
+        doc = {
+            "n": table.n,
+            "columns": [
+                {"k": c.k, "phi": to_decimal(c.phi), "h": to_decimal(c.h),
+                 "product": to_decimal(c.product)}
+                for c in table.columns
+            ],
+            "total": to_decimal(table.total),
+        }
+        assert table.to_json() == json.dumps(doc), n
 
 
 def test_inexact_division_is_loud(monkeypatch):

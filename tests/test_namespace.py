@@ -1,3 +1,5 @@
+import pytest
+
 import cycleq
 from cycleq import class_graph, counting, equation_solver, oracle, permutation, zn_ring
 
@@ -14,3 +16,20 @@ def test_package_names_are_the_module_objects():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(cycleq, name) is getattr(module, name), (module, name)
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from cycleq import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(cycleq.__all__)
+    for name, value in namespace.items():
+        assert value is getattr(cycleq, name), name
+
+
+def test_lazy_package_attributes():
+    assert "__all__" in dir(cycleq)
+    assert set(cycleq.__all__) <= set(dir(cycleq))
+    assert cycleq.oracle is oracle
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cycleq.no_such_name
