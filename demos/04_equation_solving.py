@@ -10,7 +10,6 @@ k!(n/k)^k count.
 """
 
 from cycleq.equation_solver import (
-    EquationInstance,
     InvalidParameters,
     NoSolution,
     block_partition,
@@ -45,13 +44,12 @@ print()
 
 # --- block structure and full enumeration ----------------------------------
 
-bp = block_partition(6, 2)
-print("orbits of sigma^2 over {1..6}:", [sorted(b) for b in bp.blocks])
-print("anchors:", bp.anchors)
+blocks = block_partition(6, 2)
+print("orbits of sigma^2 over {1..6}:", [sorted(b) for b in blocks])
+print("anchors:", tuple(b[0] for b in blocks))
 print()
 
-inst = EquationInstance(4, 2, 2)
-sols = enumerate_solutions(inst)
+sols = enumerate_solutions(4, 2, 2)
 print("all %d solutions of sigma^2 x = x sigma^2 over n=4:" % len(sols))
 sigma = canonical_sigma(4)
 s2 = power(sigma, 2)
@@ -61,7 +59,7 @@ for x in sols:
 print()
 
 try:
-    enumerate_solutions(EquationInstance(6, 1, 2))
+    enumerate_solutions(6, 1, 2)
 except InvalidParameters as e:
     print("(k=1, l=2) rejected for n=6:", e)
 print()

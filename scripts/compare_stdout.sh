@@ -59,6 +59,9 @@ errors=(
   "matrix -1"
   "solve 6 1 2"
   "solve 4 2 5"
+  "solve 4 0 2"
+  "solve 5 5 6"
+  "solve 0 1 1"
   "solve 12 4 6"
   "verify 9 9"
   "verify 2 3 --oracle-bound 2"

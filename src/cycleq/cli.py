@@ -90,14 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _checked(ns: argparse.Namespace) -> argparse.Namespace:
-    """Range-check n or FROM..TO, reject a -o PATH no file can have, and
-    resolve verify's oracle bound."""
+    """Range-check n, solve's exponents or FROM..TO, reject a -o PATH no
+    file can have, and resolve verify's oracle bound."""
     if ns.output is not None and (not ns.output or "\0" in ns.output):
         # the OS refuses an empty path or one with a NUL byte in it
         raise UsageError(f"-o PATH must be a non-empty path with no NUL byte, "
                          f"got {ns.output!r}")
     if hasattr(ns, "n") and ns.n < 1:
         raise UsageError(f"n must be at least 1, got {ns.n}")
+    if hasattr(ns, "k") and not (1 <= ns.k <= ns.n and 1 <= ns.l <= ns.n):
+        raise UsageError(
+            f"exponents must lie in 1..{ns.n}, got k={ns.k}, l={ns.l}")
     if hasattr(ns, "n_from") and (ns.n_from < 1 or ns.n_to < ns.n_from):
         raise UsageError(f"need 1 <= FROM <= TO, got {ns.n_from}..{ns.n_to}")
     if ns.command == "verify" and ns.oracle_bound is None:
@@ -184,12 +187,8 @@ def _row_text(n: int, joiner: str, sep: str,
 
 
 def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
-    from .equation_solver import EquationInstance, InvalidParameters, solution_chunks
-    try:
-        inst = EquationInstance(ns.n, ns.k, ns.l)
-    except ValueError as e:  # exponents outside 1..n
-        raise UsageError(str(e)) from e
-    chunks = solution_chunks(inst)
+    from .equation_solver import InvalidParameters, solution_chunks
+    chunks = solution_chunks(ns.n, ns.k, ns.l)
     # an invalid pair, or a failed check of the first chunk, raises here,
     # before the first byte is written
     try:
@@ -220,7 +219,7 @@ def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
 def _verify_one(n: int, bound: int, seed: int) -> str | None:
     """None when n checks out, else a short reason."""
     from .class_graph import build_gamma
-    from .equation_solver import EquationInstance, solution_chunks
+    from .equation_solver import solution_chunks
     from .oracle import enumerate_classes, sigma_independence_check
     # the predicted class sizes; their multiplicities sum to |Q_n|
     predicted = predicted_size_histogram(n)
@@ -243,7 +242,7 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
         # every row is checked and the rows are counted as they are made;
         # distinct rows then make the listing exactly the solution set
         rows = set()
-        for block in solution_chunks(EquationInstance(n, v.k, v.l)):
+        for block in solution_chunks(n, v.k, v.l):
             rows.update(block[at:at + n] for at in range(0, len(block), n))
         if len(rows) != expected:
             return f"enumerator repeated a solution of (k={v.k}, l={v.l})"

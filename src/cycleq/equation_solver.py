@@ -14,15 +14,16 @@ bytes object by whole-column operations, with no Python object per
 solution, and the CLI formats it the same way; wider images are built as
 tuples, checked one by one and handed out as one flat tuple per block. The
 rows are counted as they go, and a total other than k! * (n/k)**k is an
-error.
-`enumerate_solutions` wraps the rows as Permutations.
+error. `enumerate_solutions` wraps the rows as Permutations. Both take the
+plain numbers n, k, l and an optional sigma, the canonical n-cycle by
+default; check_parameters is the one check of the exponents, and a sigma
+that is not a full n-cycle is rejected after it, when iteration starts.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from math import factorial, gcd
 from operator import itemgetter
 
@@ -30,8 +31,6 @@ from .counting import p_count
 from .permutation import Permutation, _require_cycle, compose, identity, power
 
 __all__ = [
-    "BlockPartition",
-    "EquationInstance",
     "InvalidParameters",
     "NoSolution",
     "block_partition",
@@ -54,50 +53,25 @@ class NoSolution(ValueError):
 
 
 class InvalidParameters(ValueError):
-    """(k, l) is not a valid solution family; carries the failed condition."""
+    """(n, k, l) is not a valid solution family; carries the failed condition."""
 
 
-@dataclass(frozen=True)
-class EquationInstance:
-    """One equation sigma^k * xi == xi * sigma^l over S_n."""
-
-    n: int
-    k: int
-    l: int
-    sigma: Permutation = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if not (1 <= self.k <= self.n and 1 <= self.l <= self.n):
-            raise ValueError(
-                f"exponents must lie in 1..{self.n}, got k={self.k}, l={self.l}")
-        object.__setattr__(self, "sigma", _require_cycle(self.n, self.sigma))
-
-
-@dataclass(frozen=True)
-class BlockPartition:
+def block_partition(n: int, k: int,
+                    sigma: Permutation | None = None) -> tuple[tuple[int, ...], ...]:
     """Orbits of sigma^k on {1..n}: k blocks of n/k points each.
 
-    blocks[i] lists the orbit of anchors[i] in orbit order, and anchors[i]
-    is the least point not covered by the earlier blocks (anchors[0] == 1).
+    Each block lists the orbit of its first point in orbit order, and that
+    point is the least one not covered by the earlier blocks, so the first
+    block starts at 1.
     """
-
-    k: int
-    blocks: tuple[tuple[int, ...], ...]
-    anchors: tuple[int, ...]
-
-
-def block_partition(n: int, k: int, sigma: Permutation | None = None) -> BlockPartition:
     if n < 1 or k < 1 or n % k:
         raise ValueError(f"k={k} must be a divisor of n={n}")
     sigma = _require_cycle(n, sigma)
     sig_k = power(sigma, k)
     covered = [False] * (n + 1)
-    blocks, anchors = [], []
+    blocks = []
     for _ in range(k):
         m = next(i for i in range(1, n + 1) if not covered[i])
-        anchors.append(m)
         block = []
         pos = m
         for _ in range(n // k):
@@ -105,7 +79,7 @@ def block_partition(n: int, k: int, sigma: Permutation | None = None) -> BlockPa
             covered[pos] = True
             pos = sig_k(pos)
         blocks.append(tuple(block))
-    return BlockPartition(k, tuple(blocks), tuple(anchors))
+    return tuple(blocks)
 
 
 def _check_tables(sigma: Permutation, k: int,
@@ -202,13 +176,13 @@ def _constructed(n: int, k: int, l: int,
     if k == n:
         # sigma^n is the identity on both sides, so everything solves it
         return itertools.permutations(range(1, n + 1))
-    part = block_partition(n, k, sigma)
-    targets = _orbits(sigma, l, part)
+    blocks = block_partition(n, k, sigma)
+    targets = _orbits(sigma, l, blocks)
     # a choice of anchors concatenates one orbit per block, block by block,
     # so position p of xi reads entry place[p] of that concatenation
     m = n // k
     place = [0] * n
-    for i, block in enumerate(part.blocks):
+    for i, block in enumerate(blocks):
         for j, pos in enumerate(block):
             place[pos - 1] = i * m + j
     gather = itemgetter(*place)
@@ -218,13 +192,13 @@ def _constructed(n: int, k: int, l: int,
 
 
 def _orbits(sigma: Permutation, l: int,
-            part: BlockPartition) -> list[list[tuple[int, ...]]]:
+            blocks: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, ...]]]:
     """targets[t][c] is the orbit v, sigma^l(v), ... of length n/k of the
     c-th least point v of block t: the images that anchor value gives a
     block, in sigma^k orbit order."""
     sig_l = power(sigma, l)
     targets = []
-    for block in part.blocks:
+    for block in blocks:
         orbits = []
         for v in sorted(block):
             seq = [v]
@@ -268,8 +242,8 @@ def _blocks(n: int, k: int, l: int, sigma: Permutation) -> Iterator[bytes]:
             rest = bytes(sorted(set(values).difference(prefix)))
             yield template.translate(rest + bytes(prefix) + pad)
         return
-    part = block_partition(n, k, sigma)
-    targets = _orbits(sigma, l, part)
+    blocks = block_partition(n, k, sigma)
+    targets = _orbits(sigma, l, blocks)
     m = n // k
     g = k
     while g and m ** (k - g + 1) <= _CHUNK:
@@ -277,7 +251,7 @@ def _blocks(n: int, k: int, l: int, sigma: Permutation) -> Iterator[bytes]:
     rows = m ** (k - g)
     # position p reads entry j of the orbit chosen for group i
     fixed, varied = [], []
-    for i, block in enumerate(part.blocks):
+    for i, block in enumerate(blocks):
         for j, pos in enumerate(block):
             (fixed if i < g else varied).append((pos - 1, i, j))
     columns = [[[bytes(itertools.chain.from_iterable(
@@ -362,23 +336,26 @@ def _check_tuples(chunk: list[tuple[int, ...]], points: set[int],
     return tuple(itertools.chain.from_iterable(chunk))
 
 
-def solution_chunks(inst: EquationInstance) -> Iterator[bytes | tuple[int, ...]]:
-    """Every solution, in a fixed order, as row-major blocks of n images
-    per row and _CHUNK rows per block (the last may be shorter).
+def solution_chunks(n: int, k: int, l: int, sigma: Permutation | None = None
+                    ) -> Iterator[bytes | tuple[int, ...]]:
+    """Every solution of sigma^k * xi == xi * sigma^l over S_n, sigma the
+    canonical n-cycle by default, in a fixed order, as row-major blocks of
+    n images per row and _CHUNK rows per block (the last may be shorter).
 
     A block is bytes for n <= 255, where every image fits a byte, and a
     tuple of ints otherwise; either way block[r * n:(r + 1) * n] is row r.
     Each block is checked as a whole before it is yielded, with the
     property _check_solves proves for one row. The rows are counted as
     they are yielded: after the last block, a total other than
-    k! * (n/k)**k raises RuntimeError. Invalid (k, l) raises
-    InvalidParameters, with the failed condition spelled out, when
-    iteration starts.
+    k! * (n/k)**k raises RuntimeError. Both rejections come when iteration
+    starts: invalid (n, k, l) raises InvalidParameters, with the failed
+    condition spelled out, and then a sigma that is not a full n-cycle
+    raises ValueError.
     """
-    n, k, l, sigma = inst.n, inst.k, inst.l, inst.sigma
     reason = check_parameters(n, k, l)
     if reason is not None:
         raise InvalidParameters(reason)
+    sigma = _require_cycle(n, sigma)
     tables = _check_tables(sigma, k, l)
     if n <= 255:
         chunks = _rechunked(_blocks(n, k, l, sigma), n)
@@ -398,15 +375,18 @@ def solution_chunks(inst: EquationInstance) -> Iterator[bytes | tuple[int, ...]]
                            f"(n={n}, k={k}, l={l}), expected {count}")
 
 
-def enumerate_solutions(inst: EquationInstance) -> list[Permutation]:
-    """Every solution of the instance, in the order of solution_chunks.
+def enumerate_solutions(n: int, k: int, l: int,
+                        sigma: Permutation | None = None) -> list[Permutation]:
+    """Every solution of sigma^k * xi == xi * sigma^l over S_n, in the
+    order of solution_chunks.
 
-    The result has exactly k! * (n/k)**k members. Invalid (k, l) raises
-    InvalidParameters with the failed condition spelled out.
+    The result has exactly k! * (n/k)**k members. Invalid (n, k, l) raises
+    InvalidParameters with the failed condition spelled out, and then a
+    sigma that is not a full n-cycle raises ValueError.
     """
-    n = inst.n
     return [Permutation(tuple(block[at:at + n]))
-            for block in solution_chunks(inst) for at in range(0, len(block), n)]
+            for block in solution_chunks(n, k, l, sigma)
+            for at in range(0, len(block), n)]
 
 
 def min_left_exponent(xi: Permutation,

@@ -100,10 +100,12 @@ _CHUNK = 10 ** _CHUNK_DIGITS
 
 
 def to_decimal(x: int) -> str:
-    """str(x) for an int of any size, converted in chunks below the guard."""
-    if x < 0:
-        return "-" + to_decimal(-x)
-    if x < _CHUNK:
-        return str(x)
-    hi, lo = divmod(x, _CHUNK)
-    return to_decimal(hi) + str(lo).zfill(_CHUNK_DIGITS)
+    """str(x) for an int of any size, converted in chunks below the guard;
+    a loop, not recursion, so no size of x meets the recursion limit."""
+    sign, x = ("-", -x) if x < 0 else ("", x)
+    chunks = []
+    while x >= _CHUNK:
+        x, lo = divmod(x, _CHUNK)
+        chunks.append(str(lo).zfill(_CHUNK_DIGITS))
+    chunks.append(sign + str(x))
+    return "".join(reversed(chunks))

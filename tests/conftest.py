@@ -8,7 +8,7 @@ import pytest
 from cycleq import equation_solver
 from cycleq.class_graph import GammaGraph, Vertex, build_gamma, tau
 from cycleq.counting import Column
-from cycleq.equation_solver import EquationInstance, min_left_exponent, solution_chunks
+from cycleq.equation_solver import min_left_exponent, solution_chunks
 from cycleq.oracle import DEFAULT_BOUND, ClassReport, _check_bound
 from cycleq.permutation import Permutation, _require_cycle, canonical_sigma, power
 from cycleq.zn_ring import divisors, prime_factors, residue, totient
@@ -243,7 +243,7 @@ def solutions_by_scan():
 def solve_output_by_format(n: int, k: int, l: int, fmt: str = "text") -> str:
     """The stdout of `cycleq solve n k l -f fmt`, each row written by one %
     format of its image tuple. The reference for the solve rows."""
-    images = [tuple(block[at:at + n]) for block in solution_chunks(EquationInstance(n, k, l))
+    images = [tuple(block[at:at + n]) for block in solution_chunks(n, k, l)
               for at in range(0, len(block), n)]
     if fmt == "json":
         row = "[" + ", ".join(["%s"] * n) + "]"

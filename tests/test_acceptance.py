@@ -15,7 +15,6 @@ import pytest
 from cycleq.class_graph import build_gamma
 from cycleq.counting import count_table, h_count, q_count, q_prime, wilson_check
 from cycleq.equation_solver import (
-    EquationInstance,
     NoSolution,
     check_parameters,
     enumerate_solutions,
@@ -117,7 +116,7 @@ def test_04_solution_counts_and_enumeration():
                     continue
                 expected = factorial(k) * (n // k) ** k
                 assert count_equation_solutions(n, k, l) == expected, (n, k, l)
-                sols = enumerate_solutions(EquationInstance(n, k, l))
+                sols = enumerate_solutions(n, k, l)
                 assert len(sols) == expected, (n, k, l)
                 assert len(set(sols)) == expected, (n, k, l)
                 sig_k, sig_l = power(sigma, k), power(sigma, l)

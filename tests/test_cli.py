@@ -21,7 +21,6 @@ from cycleq.class_graph import build_gamma, export_dot
 from cycleq.counting import InexactDivision, count_table, q_count
 from cycleq.equation_solver import (
     _CHUNK,
-    EquationInstance,
     check_parameters,
     enumerate_solutions,
 )
@@ -275,7 +274,7 @@ def test_solve_rendering_matches_one_line(capsys):
              for l in range(1, n + 1) if check_parameters(n, k, l) is None]
     cases += [(10, 5, 5), (12, 4, 4)]
     for n, k, l in cases:
-        solutions = enumerate_solutions(EquationInstance(n, k, l))
+        solutions = enumerate_solutions(n, k, l)
         argv = ["solve", str(n), str(k), str(l)]
         code, out, err = run(argv, capsys)
         assert (code, err) == (0, "")
@@ -362,6 +361,13 @@ def test_solve_invalid_pair(capsys):
 def test_solve_rejects_bad_exponents(capsys):
     assert run(["solve", "6", "4", "2"], capsys)[0] == 2  # 4 does not divide 6
     assert run(["solve", "6", "0", "2"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("k, l", [(2, 5), (0, 2)])
+def test_solve_exponents_outside_1_to_n(capsys, k, l):
+    # the range check on the command line, ahead of the solver's own check
+    assert run(["solve", "4", str(k), str(l)], capsys) == (
+        2, "", f"error: exponents must lie in 1..4, got k={k}, l={l}\n")
 
 
 # -- verify ----------------------------------------------------------------

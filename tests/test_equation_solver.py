@@ -10,7 +10,6 @@ from cycleq.class_graph import build_gamma
 from cycleq.counting import p_count
 import cycleq.equation_solver as es
 from cycleq.equation_solver import (
-    EquationInstance,
     InvalidParameters,
     NoSolution,
     _CHUNK,
@@ -157,7 +156,7 @@ def test_coprime_multiplier_condition_equals_cofactor_coprimality():
 
 
 def test_enumerate_4_2_2_matches_brute_force_set():
-    sols = enumerate_solutions(EquationInstance(4, 2, 2))
+    sols = enumerate_solutions(4, 2, 2)
     assert len(sols) == 8 == p_count(4, 2)
     sigma = canonical_sigma(4)
     brute = {
@@ -170,19 +169,19 @@ def test_enumerate_4_2_2_matches_brute_force_set():
 
 
 def test_enumerate_3_1_2():
-    sols = enumerate_solutions(EquationInstance(3, 1, 2))
+    sols = enumerate_solutions(3, 1, 2)
     assert len(sols) == 3 == p_count(3, 1)
 
 
 def test_enumerate_trivial_equation_is_all_of_sn():
-    sols = enumerate_solutions(EquationInstance(2, 2, 2))
+    sols = enumerate_solutions(2, 2, 2)
     assert {s.images for s in sols} == {(1, 2), (2, 1)}
-    assert len(enumerate_solutions(EquationInstance(1, 1, 1))) == 1
+    assert len(enumerate_solutions(1, 1, 1)) == 1
 
 
 def test_enumerate_is_deterministic():
-    a = enumerate_solutions(EquationInstance(6, 2, 2))
-    b = enumerate_solutions(EquationInstance(6, 2, 2))
+    a = enumerate_solutions(6, 2, 2)
+    b = enumerate_solutions(6, 2, 2)
     assert a == b
 
 
@@ -190,7 +189,7 @@ def test_enumerate_counts_and_membership_up_to_8():
     for n in range(2, 9):
         sigma = canonical_sigma(n)
         for k, l in valid_pairs(n):
-            sols = enumerate_solutions(EquationInstance(n, k, l))
+            sols = enumerate_solutions(n, k, l)
             assert len(sols) == p_count(n, k)
             assert len(set(sols)) == len(sols)
             assert count_equation_solutions(n, k, l) == len(sols)
@@ -200,13 +199,13 @@ def test_enumerate_counts_and_membership_up_to_8():
 
 def test_enumerate_rejects_invalid_pairs():
     with pytest.raises(InvalidParameters):
-        enumerate_solutions(EquationInstance(6, 1, 2))
+        enumerate_solutions(6, 1, 2)
     with pytest.raises(InvalidParameters):
-        enumerate_solutions(EquationInstance(8, 2, 3))
+        enumerate_solutions(8, 2, 3)
     with pytest.raises(InvalidParameters):
-        enumerate_solutions(EquationInstance(6, 4, 4))
+        enumerate_solutions(6, 4, 4)
     with pytest.raises(InvalidParameters) as exc:
-        enumerate_solutions(EquationInstance(6, 1, 3))
+        enumerate_solutions(6, 1, 3)
     assert "coprime" in str(exc.value)
 
 
@@ -220,17 +219,16 @@ def test_solution_chunks_are_the_enumerated_solutions():
     # enumerate_solutions wraps them, in the same order
     for n in range(1, 9):
         for k, l in valid_pairs(n) + [(n, n)]:
-            inst = EquationInstance(n, k, l)
-            blocks = list(solution_chunks(inst))
+            blocks = list(solution_chunks(n, k, l))
             assert all(type(block) is bytes for block in blocks)
             images = [xi for block in blocks for xi in rows_of(block, n)]
-            assert images == list(_constructed(n, k, l, inst.sigma))
-            assert images == [s.images for s in enumerate_solutions(inst)]
+            assert images == list(_constructed(n, k, l, canonical_sigma(n)))
+            assert images == [s.images for s in enumerate_solutions(n, k, l)]
 
 
 def test_solution_chunks_rejects_invalid_pairs_when_iterated():
     with pytest.raises(InvalidParameters) as exc:
-        next(solution_chunks(EquationInstance(6, 1, 3)))
+        next(solution_chunks(6, 1, 3))
     assert "coprime" in str(exc.value)
 
 
@@ -246,11 +244,11 @@ def test_solution_chunks_count_the_construction(edit_construction, n, k, edit, c
     message = f"constructed {listed} solutions of (n={n}, k={k}, l={k}), expected {count}"
     rows = []
     with pytest.raises(RuntimeError) as exc:
-        for block in solution_chunks(EquationInstance(n, k, k)):
+        for block in solution_chunks(n, k, k):
             rows += rows_of(block, n)
     assert (str(exc.value), len(rows)) == (message, listed)
     with pytest.raises(RuntimeError) as exc:
-        enumerate_solutions(EquationInstance(n, k, k))
+        enumerate_solutions(n, k, k)
     assert str(exc.value) == message
 
 
@@ -289,7 +287,7 @@ def chunks_of(n, k, l):
     the construction that it holds."""
     tuples = _constructed(n, k, l, canonical_sigma(n))
     return [(block, list(itertools.islice(tuples, _CHUNK)))
-            for block in solution_chunks(EquationInstance(n, k, l))]
+            for block in solution_chunks(n, k, l)]
 
 
 def row_check_message(xi, tables, k, l):
@@ -334,7 +332,7 @@ def test_chunk_check_on_both_sides_of_the_byte_boundary():
     # block check those a block can hold
     for n, k, l, fits in [(255, 1, 2, True), (256, 1, 3, False), (256, 2, 2, False)]:
         tables = _check_tables(canonical_sigma(n), k, l)
-        block = next(solution_chunks(EquationInstance(n, k, l)))
+        block = next(solution_chunks(n, k, l))
         chunk = list(itertools.islice(_constructed(n, k, l, canonical_sigma(n)), _CHUNK))
         assert len(block) == n * len(chunk) == n * min(p_count(n, k), _CHUNK)
         flat = tuple(itertools.chain.from_iterable(chunk))
@@ -469,7 +467,7 @@ def test_scaling_closure():
     for n in range(2, 9):
         sigma = canonical_sigma(n)
         for k, l in valid_pairs(n):
-            for xi in enumerate_solutions(EquationInstance(n, k, l)):
+            for xi in enumerate_solutions(n, k, l):
                 for s in (2, 3):
                     assert solves(sigma, s * k, s * l, xi)
 
@@ -479,32 +477,31 @@ def test_distinct_l_gives_disjoint_solution_sets():
         by_k = {}
         for k, l in valid_pairs(n):
             by_k.setdefault(k, []).append(
-                set(enumerate_solutions(EquationInstance(n, k, l))))
+                set(enumerate_solutions(n, k, l)))
         for k, sets in by_k.items():
             for s1, s2 in itertools.combinations(sets, 2):
                 assert not (s1 & s2)
 
 
 def test_block_partition_examples():
-    part = block_partition(4, 2)
-    assert part.anchors == (1, 2)
-    assert part.blocks == ((1, 3), (2, 4))
-    part = block_partition(6, 3)
-    assert part.blocks == ((1, 4), (2, 5), (3, 6))
+    blocks = block_partition(4, 2)
+    assert tuple(block[0] for block in blocks) == (1, 2)
+    assert blocks == ((1, 3), (2, 4))
+    assert block_partition(6, 3) == ((1, 4), (2, 5), (3, 6))
 
 
 def test_block_partition_invariants_up_to_60():
     for n in range(1, 61):
         sigma = canonical_sigma(n)
         for k in divisors(n):
-            part = block_partition(n, k, sigma)
-            assert part.anchors[0] == 1
-            assert len(part.blocks) == k
+            blocks = block_partition(n, k, sigma)
+            assert blocks[0][0] == 1
+            assert len(blocks) == k
             covered = set()
             sig_k = power(sigma, k)
-            for anchor, block in zip(part.anchors, part.blocks):
+            for block in blocks:
                 assert len(block) == n // k
-                assert block[0] == anchor
+                anchor = block[0]
                 # anchor is the least point not covered so far
                 assert anchor == min(set(range(1, n + 1)) - covered)
                 # the block is the anchor's orbit under sigma^k
@@ -584,12 +581,17 @@ def test_min_left_exponent_returns_minimal_k():
                 assert not solves(sigma, smaller, any_l, xi)
 
 
-def test_equation_instance_validation():
-    with pytest.raises(ValueError):
-        EquationInstance(4, 0, 2)
-    with pytest.raises(ValueError):
-        EquationInstance(4, 2, 5)
-    with pytest.raises(ValueError):
-        EquationInstance(4, 2, 2, sigma=Permutation((2, 1, 4, 3)))
-    inst = EquationInstance(4, 2, 2)
-    assert inst.sigma == canonical_sigma(4)
+def test_solution_chunks_validate_exponents_and_sigma():
+    # exponents outside 1..n fail check_parameters; a sigma that is not a
+    # full cycle is rejected after that. Both raise at the first next()
+    chunks = solution_chunks(4, 0, 2)
+    with pytest.raises(InvalidParameters):
+        next(chunks)
+    with pytest.raises(InvalidParameters):
+        next(solution_chunks(4, 2, 5))
+    with pytest.raises(ValueError) as exc:
+        next(solution_chunks(4, 2, 2, sigma=Permutation((2, 1, 4, 3))))
+    assert not isinstance(exc.value, InvalidParameters)
+    # sigma defaults to the canonical cycle
+    assert (list(solution_chunks(4, 2, 2))
+            == list(solution_chunks(4, 2, 2, canonical_sigma(4))))

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import cycleq.zn_ring as zn
 from cycleq.zn_ring import (
     divisors,
     gcd,
@@ -81,6 +82,16 @@ def test_to_decimal_past_the_int_str_guard():
     assert to_decimal(10 ** 4000 - 1) == "9" * 4000
     assert to_decimal(10 ** 9000 + 7) == "1" + "0" * 8999 + "7"
     assert to_decimal(-(3 * 10 ** 8000 + 42)) == "-3" + "0" * 7998 + "42"
+
+
+def test_to_decimal_has_no_depth_limit(monkeypatch):
+    # one-digit chunks turn 10**1500 + 12345 into 1501 chunks, more than
+    # the default recursion limit allows a call per chunk
+    monkeypatch.setattr(zn, "_CHUNK_DIGITS", 1)
+    monkeypatch.setattr(zn, "_CHUNK", 10)
+    x = 10 ** 1500 + 12345
+    assert to_decimal(x) == str(x)
+    assert to_decimal(-x) == str(-x)
 
 
 def test_totient_rejects_nonpositive():
