@@ -31,14 +31,18 @@ commands=(
   "solve 9 3 3 -f json"
   "solve 9 9 9"
   "solve 9 9 9 -f json"
+  "solve 10 2 4"
   "solve 10 5 5"
   "solve 10 10 10"
   "solve 12 4 4 -f json"
   "solve 12 6 6"
   "solve 12 6 6 -f json"
   "solve 14 7 7 -f json"
+  "solve 15 5 5 -f json"
+  "solve 99 1 98 -f json"
   "solve 100 1 3 -f json"
   "solve 254 2 2"
+  "solve 254 2 252"
   "solve 255 1 2"
   "solve 256 1 3"
   "solve 256 2 2"

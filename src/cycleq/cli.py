@@ -157,19 +157,22 @@ def _row_text(n: int, joiner: str, sep: str,
     format of the row's images writes them.
 
     A bytes block (n <= 255) is laid out as fixed-width rows in a
-    bytearray, each image in three slots, the most a byte value needs, left
-    aligned and padded with NUL: one translate of a column by a digit table
-    per column and digit place, written as a stride, fills the slots, and
-    deleting the NULs from the decoded text gives the rows. A tuple block
-    (n >= 256) takes the % format.
+    bytearray, each image in len(str(n)) slots, the most an image 1..n
+    needs, left aligned and padded with NUL: one translate of a column by a
+    digit table per column and digit place, written as a stride, fills the
+    slots, and deleting the NUL bytes before the decode gives the rows. For
+    n <= 9 every image fills its one slot, and nothing is deleted. A tuple
+    block (n >= 256) takes the % format.
     """
     row = joiner + "[" + sep.join(["%s"] * n) + end
     if n > 255:
         return lambda block: "".join([row] * (len(block) // n)) % block
-    template = bytearray(row.replace("%s", "\0\0\0"), "ascii")
-    stride, first, step = len(template), len(joiner) + 1, 3 + len(sep)
-    digits = "".join([str(v).ljust(3, "\0") for v in range(256)]).encode()
-    planes = [digits[d::3] for d in range(3)]
+    width = len(str(n))
+    template = bytearray(row.replace("%s", "\0" * width), "ascii")
+    stride, first, step = len(template), len(joiner) + 1, width + len(sep)
+    # a checked block holds no image past n
+    digits = "".join([str(v).ljust(width, "\0") for v in range(n + 1)]).encode()
+    planes = [digits[d::width].ljust(256, b"\0") for d in range(width)]
 
     def text(block: bytes) -> str:
         out = template * (len(block) // n)
@@ -177,11 +180,15 @@ def _row_text(n: int, joiner: str, sep: str,
             column = block[c::n]
             for at, plane in enumerate(planes, first + c * step):
                 out[at::stride] = column.translate(plane)
-        # decode at layout size, then delete the NULs, so each piece is cut
-        # down in place from a layout-sized block: a piece made at its exact
-        # size lands in whatever small heap hole is free, which fragments
-        # the heap of a sink that keeps every piece (a StringIO)
-        return out.decode("ascii").translate({0: None})
+        # a piece must not be small: a sink that keeps every piece, a
+        # StringIO, fragments its heap with small ones. A block is about
+        # 128 KiB of images, so a piece is a few hundred KB of text (290 KB
+        # at n = 9). In the verify-solve benchmark, whose StringIO holds the
+        # 7.3 MB of `solve 9 9 9`, 82 KB pieces from 4096-row blocks raised
+        # the peak RSS from 41.4 to 46.4 MB; these pieces read 43.0 MB
+        if width > 1:
+            out = out.translate(None, b"\0")
+        return out.decode("ascii")
 
     return text
 

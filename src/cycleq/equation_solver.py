@@ -6,23 +6,27 @@ xi(sigma^j(1)) = sigma^(j*l)(a). For general k the points {1..n} split into
 k blocks, the orbits of sigma^k, and a solution is one choice of a distinct
 target block plus an anchor value per block; that makes k! * (n/k)**k
 solutions. `solution_chunks` yields them in a fixed lexicographic order as
-row-major blocks of up to _CHUNK rows of n images, each block checked as a
-whole before it is handed out: every row must be a bijection of 1..n and,
-for k < n, satisfy the equation on the precomputed powers of sigma. For
-n <= 255 every image fits a byte, and a block is built and checked as one
-bytes object by whole-column operations, with no Python object per
-solution, and the CLI formats it the same way; wider images are built as
-tuples, checked one by one and handed out as one flat tuple per block. The
-rows are counted as they go, and a total other than k! * (n/k)**k is an
-error. `enumerate_solutions` wraps the rows as Permutations. Both take the
-plain numbers n, k, l and an optional sigma, the canonical n-cycle by
-default; check_parameters is the one check of the exponents, and a sigma
-that is not a full n-cycle is rejected after it, when iteration starts.
+row-major blocks of n images per row, each holding about _CHUNK_BYTES
+image bytes, and each checked as a whole before it is handed out: every
+row must be a bijection of 1..n and, for k < n, satisfy the equation on
+the precomputed powers of sigma. For n <= 255 every image fits a byte,
+and a block is built and checked as one bytes object by whole-column
+operations, with no Python object per solution, and the CLI formats it
+the same way. Once a byte block satisfies the equation, its bijection
+pass reads only one anchor column per sigma^k orbit, k columns in place
+of n. Wider images are built as tuples, checked one by one and handed out
+as one flat tuple per block. The rows are counted as they go, and a total
+other than k! * (n/k)**k is an error. `enumerate_solutions` wraps the rows
+as Permutations. Both take the plain numbers n, k, l and an optional
+sigma, the canonical n-cycle by default; check_parameters is the one check
+of the exponents, and a sigma that is not a full n-cycle is rejected after
+it, when iteration starts.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from math import factorial, gcd
 from operator import itemgetter
@@ -42,10 +46,16 @@ __all__ = [
 ]
 
 
-# rows per checked block: large enough that the C-level passes over a
-# block outweigh its per-block cost, small enough that a block and its
-# printed rows stay well under a megabyte
-_CHUNK = 4096
+# image bytes per checked block: large enough that the C-level passes over
+# a block outweigh its per-block cost, whatever n, and that its printed
+# text is one large piece (see cli._row_text); small enough that a block
+# and its printed rows stay under a megabyte
+_CHUNK_BYTES = 1 << 17
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows of n images in one checked block: 14563 at n = 9, 516 at 254."""
+    return max(1, _CHUNK_BYTES // n)
 
 
 class NoSolution(ValueError):
@@ -82,34 +92,68 @@ def block_partition(n: int, k: int,
     return tuple(blocks)
 
 
-def _check_tables(sigma: Permutation, k: int,
-                  l: int) -> tuple[set[int], tuple[int, ...], tuple[int, ...]]:
-    """What _check_solves compares against: the points 1..n, sigma^k, sigma^l.
+# what the checks compare against, computed apart from the construction:
+# the points 1..n; sigma^k as 0-based positions and sigma^l indexed by
+# point, so that sigma^k * xi sends i to xi[sig_k0[i - 1]] and xi * sigma^l
+# sends it to sig_l1[xi[i - 1]]; and the bijection pass of a byte block,
+# the 0-based columns it reads and its one-hot planes (see _check_block)
+_Tables = namedtuple("_Tables", "points sig_k0 sig_l1 anchors planes")
 
-    sigma^k comes as 0-based positions and sigma^l indexed by point, so
-    sigma^k * xi sends i to xi[sig_k0[i - 1]] and xi * sigma^l sends it to
-    sig_l1[xi[i - 1]]. The powers are computed here, apart from the ones
-    the construction uses.
+
+def _orbit_index(perm: Permutation) -> list[int]:
+    """index[v - 1] numbers the orbit of the point v under perm, the orbits
+    counted in the order of their least points."""
+    index = [-1] * perm.degree
+    count = 0
+    for start in range(perm.degree):
+        if index[start] < 0:
+            v = start
+            while index[v] < 0:
+                index[v] = count
+                v = perm.images[v] - 1
+            count += 1
+    return index
+
+
+def _check_tables(sigma: Permutation, k: int, l: int) -> _Tables:
+    """The _Tables of the equation of sigma, k and l, for _check_solves,
+    _check_block and _check_tuples.
+
+    The anchors are the least position of each sigma^k orbit, and plane q
+    sends each point v whose sigma^l orbit has number i, 8q <= i < 8q + 8,
+    to the bit 1 << i - 8q and every other byte to 0, next to the OR of its
+    bits. For k == n both powers are the identity, so the anchors are all
+    n columns and the planes the one-hot code of the points themselves.
     """
     n = sigma.degree
-    return (set(range(1, n + 1)),
-            tuple([v - 1 for v in power(sigma, k).images]),
-            (0,) + power(sigma, l).images)
+    sig_k, sig_l = power(sigma, k), power(sigma, l)
+    anchors, planes = [], []
+    if n <= 255:  # the images of a byte block
+        positions, values = _orbit_index(sig_k), _orbit_index(sig_l)
+        anchors = list(map(positions.index, range(max(positions) + 1)))
+        orbits = max(values) + 1
+        for q in range(0, orbits, 8):
+            plane = bytearray(256)
+            for v, i in enumerate(values, 1):
+                if q <= i < q + 8:
+                    plane[v] = 1 << i - q
+            planes.append((bytes(plane), (1 << min(8, orbits - q)) - 1))
+    return _Tables(set(range(1, n + 1)), tuple([v - 1 for v in sig_k.images]),
+                   (0,) + sig_l.images, tuple(anchors), tuple(planes))
 
 
-def _check_solves(xi: tuple[int, ...], points: set[int], sig_k0: tuple[int, ...],
-                  sig_l1: tuple[int, ...], k: int, l: int) -> None:
+def _check_solves(xi: tuple[int, ...], tables: _Tables, k: int, l: int) -> None:
     """Raise RuntimeError unless xi is a bijection of 1..n solving the equation.
 
     The tables come from _check_tables. The equation is not tested for
     k == n: every caller then has l == n or n == 1, so both sides are xi.
     """
     # construction is never trusted: re-verify every image tuple
-    n = len(points)
-    if len(xi) != n or set(xi) != points:
+    n = len(tables.points)
+    if len(xi) != n or set(xi) != tables.points:
         problem = f"is not a bijection of 1..{n}"
-    elif k < n and (tuple(map(xi.__getitem__, sig_k0))
-                    != tuple(map(sig_l1.__getitem__, xi))):
+    elif k < n and (tuple(map(xi.__getitem__, tables.sig_k0))
+                    != tuple(map(tables.sig_l1.__getitem__, xi))):
         problem = f"fails sigma^{k} * xi == xi * sigma^{l}"
     else:
         return
@@ -140,7 +184,7 @@ def solve_base(n: int, l: int, a: int, sigma: Permutation | None = None) -> Perm
         pos = sigma(pos)
         val = sig_l(val)
     xi = tuple(images)
-    _check_solves(xi, *_check_tables(sigma, 1, l), 1, l)
+    _check_solves(xi, _check_tables(sigma, 1, l), 1, l)
     return Permutation(xi)
 
 
@@ -211,7 +255,8 @@ def _orbits(sigma: Permutation, l: int,
 
 def _blocks(n: int, k: int, l: int, sigma: Permutation) -> Iterator[bytes]:
     """Every solution of a valid (n, k, l) with n <= 255, in the order of
-    _constructed, as row-major bytes blocks of 1 to _CHUNK rows, unchecked.
+    _constructed, as row-major bytes blocks of 1 to _chunk_rows(n) rows,
+    unchecked.
 
     k == n lists S_n: a template holds the j! arrangements of the last j
     positions as 0..j-1, and the placeholder j + c in each earlier column
@@ -224,9 +269,10 @@ def _blocks(n: int, k: int, l: int, sigma: Permutation) -> Iterator[bytes]:
     repeated once per row of the choices after it and the whole tiled once
     per choice of the groups between g and it.
     """
+    most = _chunk_rows(n)
     if k == n:
         j = 1
-        while j < n and factorial(j + 1) <= _CHUNK:
+        while j < n and factorial(j + 1) <= most:
             j += 1
         rows = factorial(j)
         template = bytearray(rows * n)
@@ -246,7 +292,7 @@ def _blocks(n: int, k: int, l: int, sigma: Permutation) -> Iterator[bytes]:
     targets = _orbits(sigma, l, blocks)
     m = n // k
     g = k
-    while g and m ** (k - g + 1) <= _CHUNK:
+    while g and m ** (k - g + 1) <= most:
         g -= 1
     rows = m ** (k - g)
     # position p reads entry j of the orbit chosen for group i
@@ -272,8 +318,8 @@ def _blocks(n: int, k: int, l: int, sigma: Permutation) -> Iterator[bytes]:
 
 def _rechunked(blocks: Iterable[bytes], n: int) -> Iterator[bytes]:
     """The rows of the blocks, n bytes each, cut again into blocks of
-    _CHUNK rows; the last may be shorter."""
-    size = _CHUNK * n
+    _chunk_rows(n) rows; the last may be shorter."""
+    size = _chunk_rows(n) * n
     pending = bytearray()
     for block in blocks:
         pending += block
@@ -284,55 +330,55 @@ def _rechunked(blocks: Iterable[bytes], n: int) -> Iterator[bytes]:
         yield bytes(pending)
 
 
-def _check_block(block: bytes, points: set[int], sig_k0: tuple[int, ...],
-                 sig_l1: tuple[int, ...], k: int, l: int) -> bytes:
+def _check_block(block: bytes, tables: _Tables, k: int, l: int) -> bytes:
     """_check_solves for every row of a row-major bytes block of images,
     n <= 255 of them per row; returns the block.
 
     The passes work on whole columns, block[c::n], and trust nothing of
-    the construction. Plane q of a one-hot code maps each point v with
-    (v - 1) // 8 == q to the bit 1 << (v - 1) % 8 and every other byte to
-    0. The columns translated by a plane, read as ints and OR-ed, have
-    every bit of the plane set in every row's byte exactly when each row
-    holds each of the plane's points; with all planes full and n entries
-    per row, no room is left for a repeat, 0 or a value past n. For k < n
-    the equation compares n strided copies of the block with the block
-    translated by sigma^l. A block that fails a pass, or whose length is
-    not a multiple of n, goes through _check_solves row by row, which names
-    its first bad row.
+    the construction. For k < n the equation pass comes first: n strided
+    copies of the block must equal the block translated by sigma^l, with
+    0 and every value past n sent to 0. Then the bijection pass translates
+    each anchor column by each one-hot plane of the tables, reads the
+    result as an int and ORs them; every bit of the plane must then be set
+    in every row's byte. So the anchors of each row hit every orbit of
+    sigma^l, one each, and none holds 0 or a value past n. Under the
+    equation, a position orbit of sigma^k whose anchor holds v in 1..n holds
+    the whole sigma^l orbit of v: a row passes both exactly when it is a
+    bijection of 1..n that solves the equation. That reads k columns of a
+    row instead of n, k^2/8 byte operations instead of n^2/8. For k == n
+    the anchors are all n columns and the orbits the single points, the
+    full one-hot pass. A block that fails a pass, or whose length is not a
+    multiple of n, goes through _check_solves row by row, which names its
+    first bad row.
     """
-    n = len(points)
+    n = len(tables.points)
     rows, rest = divmod(len(block), n)
     passes = not rest
     columns = [block[c::n] for c in range(n)]
-    planes = [bytearray(256) for _ in range(0, n, 8)]
-    for v in points:
-        planes[(v - 1) // 8][v] = 1 << (v - 1) % 8
-    for plane in planes:
+    if passes and k < n:
+        left = bytearray(len(block))
+        for i, j in enumerate(tables.sig_k0):
+            left[i::n] = columns[j]
+        passes = left == block.translate(bytes(tables.sig_l1).ljust(256, b"\0"))
+    for plane, full in tables.planes:
         if not passes:
             break
         seen = 0
-        for column in columns:
-            seen |= int.from_bytes(column.translate(plane), "little")
-        passes = seen == int.from_bytes(bytes((sum(plane),)) * rows, "little")
-    if passes and k < n:
-        left = bytearray(len(block))
-        for i, j in enumerate(sig_k0):
-            left[i::n] = columns[j]
-        passes = left == block.translate(bytes(sig_l1).ljust(256, b"\0"))
+        for c in tables.anchors:
+            seen |= int.from_bytes(columns[c].translate(plane), "little")
+        passes = seen == int.from_bytes(bytes((full,)) * rows, "little")
     if not passes:
         for at in range(0, len(block), n):
-            _check_solves(tuple(block[at:at + n]), points, sig_k0, sig_l1, k, l)
+            _check_solves(tuple(block[at:at + n]), tables, k, l)
     return block
 
 
-def _check_tuples(chunk: list[tuple[int, ...]], points: set[int],
-                  sig_k0: tuple[int, ...], sig_l1: tuple[int, ...],
+def _check_tuples(chunk: list[tuple[int, ...]], tables: _Tables,
                   k: int, l: int) -> tuple[int, ...]:
     """_check_solves for every tuple of a chunk, the check for n >= 256;
     returns the chunk's images as one row-major tuple."""
     for xi in chunk:
-        _check_solves(xi, points, sig_k0, sig_l1, k, l)
+        _check_solves(xi, tables, k, l)
     return tuple(itertools.chain.from_iterable(chunk))
 
 
@@ -340,7 +386,8 @@ def solution_chunks(n: int, k: int, l: int, sigma: Permutation | None = None
                     ) -> Iterator[bytes | tuple[int, ...]]:
     """Every solution of sigma^k * xi == xi * sigma^l over S_n, sigma the
     canonical n-cycle by default, in a fixed order, as row-major blocks of
-    n images per row and _CHUNK rows per block (the last may be shorter).
+    n images per row and _chunk_rows(n) rows per block, about _CHUNK_BYTES
+    images (the last block may be shorter).
 
     A block is bytes for n <= 255, where every image fits a byte, and a
     tuple of ints otherwise; either way block[r * n:(r + 1) * n] is row r.
@@ -362,11 +409,12 @@ def solution_chunks(n: int, k: int, l: int, sigma: Permutation | None = None
         check = _check_block
     else:
         tuples = _constructed(n, k, l, sigma)
-        chunks = iter(lambda: list(itertools.islice(tuples, _CHUNK)), [])
+        rows = _chunk_rows(n)
+        chunks = iter(lambda: list(itertools.islice(tuples, rows)), [])
         check = _check_tuples
     listed = 0
     for chunk in chunks:
-        block = check(chunk, *tables, k, l)
+        block = check(chunk, tables, k, l)
         listed += len(block) // n
         yield block
     count = p_count(n, k)

@@ -20,7 +20,7 @@ from cycleq.cli import ENV_ORACLE_BOUND, build_parser, main
 from cycleq.class_graph import build_gamma, export_dot
 from cycleq.counting import InexactDivision, count_table, q_count
 from cycleq.equation_solver import (
-    _CHUNK,
+    _chunk_rows,
     check_parameters,
     enumerate_solutions,
 )
@@ -303,7 +303,7 @@ def test_solve_rows_match_the_row_format(capsys, monkeypatch, solve_by_format, c
     # chunks of the real size and of 7 rows, where every case but the
     # smallest spans several chunks
     if chunk is not None:
-        monkeypatch.setattr(es, "_CHUNK", chunk)
+        monkeypatch.setattr(es, "_chunk_rows", lambda n: chunk)
     for n, k, l in SOLVE_FORMAT_CASES:
         for fmt in ("text", "json"):
             code, out, err = run(["solve", str(n), str(k), str(l), "-f", fmt], capsys)
@@ -573,18 +573,23 @@ def test_failed_self_check_mid_stream(capsys, monkeypatch, tmp_path):
     # a bad tuple in the third chunk: the count line and the rows of the
     # first two chunks are already on stdout, whole, and nothing after them
     golden = run(["solve", "9", "9", "9"], capsys)[1]
-    corrupt_construction(monkeypatch, 2 * _CHUNK + 5, lambda xi: xi[1:2] + xi[1:])
+    rows = _chunk_rows(9)
+    corrupt_construction(monkeypatch, 2 * rows + 5, lambda xi: xi[1:2] + xi[1:])
+    # that row of the listing, after the count line, with its first image
+    # replaced by its second
+    images = golden.splitlines()[1 + 2 * rows + 5][1:-1].split()
+    bad = " ".join(images[1:2] + images[1:])
     code, out, err = run(["solve", "9", "9", "9"], capsys)
     assert code == 3
     assert golden.startswith(out) and out.endswith("\n")
-    assert out.count("\n") == 1 + 2 * _CHUNK
-    assert err == "internal error: constructed [3 3 7 5 4 8 2 9 6] is not a bijection of 1..9\n"
+    assert out.count("\n") == 1 + 2 * rows
+    assert err == f"internal error: constructed [{bad}] is not a bijection of 1..9\n"
     # -o PATH stays as it was, with no temporary file left
     target = tmp_path / "solutions.txt"
     target.write_text("old\n")
     code, out, err = run(["solve", "9", "9", "9", "-o", str(target)], capsys)
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: constructed [3 3 7 5 4 8 2 9 6]")
+    assert err.startswith(f"internal error: constructed [{bad}]")
     assert target.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["solutions.txt"]
 
@@ -734,13 +739,16 @@ class CountingSink:
 
 
 def test_solve_memory_stays_flat(capsys, monkeypatch, tmp_path):
-    # rows are made, written and dropped a chunk at a time, to stdout and to
-    # -o PATH alike: the 7.3 MB listing never exists as a whole
+    # rows are made, written and dropped a block at a time, to stdout and to
+    # -o PATH alike: the 7.3 MB listing of 9 9 9 never exists as a whole,
+    # and the 29 MB one of 254 2 2, in blocks of 516 rows, stays under
+    # 4 MiB
     sink = CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     target = tmp_path / "out.txt"
-    for argv in (["solve", "9", "9", "9"],
-                 ["solve", "9", "9", "9", "-o", str(target)]):
+    for argv, ceiling in ((["solve", "9", "9", "9"], 8 * 2 ** 20),
+                          (["solve", "9", "9", "9", "-o", str(target)], 8 * 2 ** 20),
+                          (["solve", "254", "2", "2"], 4 * 2 ** 20)):
         tracemalloc.start()
         try:
             code = main(argv)
@@ -748,8 +756,9 @@ def test_solve_memory_stays_flat(capsys, monkeypatch, tmp_path):
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 8 * 2 ** 20, (argv, peak)
-    assert sink.size == target.stat().st_size == 7257613
+        assert peak < ceiling, (argv, peak)
+    assert sink.size == 7257613 + 29354792
+    assert target.stat().st_size == 7257613
 
 
 def test_output_file_onto_directory(capsys, tmp_path):

@@ -12,12 +12,12 @@ import cycleq.equation_solver as es
 from cycleq.equation_solver import (
     InvalidParameters,
     NoSolution,
-    _CHUNK,
     _blocks,
     _check_block,
     _check_solves,
     _check_tables,
     _check_tuples,
+    _chunk_rows,
     _constructed,
     _rechunked,
     block_partition,
@@ -256,11 +256,11 @@ def test_check_solves_on_image_tuples():
     sigma = canonical_sigma(5)
     tables = _check_tables(sigma, 1, 2)
     # a solution passes, and so does every tuple of the trivial equation
-    _check_solves((1, 3, 5, 2, 4), *tables, 1, 2)
-    _check_solves((2, 1, 3), *_check_tables(canonical_sigma(3), 3, 3), 3, 3)
+    _check_solves((1, 3, 5, 2, 4), tables, 1, 2)
+    _check_solves((2, 1, 3), _check_tables(canonical_sigma(3), 3, 3), 3, 3)
     # a bijection that fails sigma * xi == xi * sigma^2
     with pytest.raises(RuntimeError, match="^constructed .* fails sigma"):
-        _check_solves((1, 2, 3, 4, 5), *tables, 1, 2)
+        _check_solves((1, 2, 3, 4, 5), tables, 1, 2)
     # non-bijections: nothing but the bijection is tested for k == n, and
     # (1, 1, 3, 3) satisfies sigma^2 * xi == xi * sigma^2 at n = 4
     sig_2 = power(canonical_sigma(4), 2)
@@ -270,7 +270,7 @@ def test_check_solves_on_image_tuples():
                         (3, 3, 3, (1, 2)), (3, 3, 3, (1, 2, 3, 4)),
                         (3, 3, 3, (0, 1, 2))]:
         with pytest.raises(RuntimeError, match="^constructed .* not a bijection"):
-            _check_solves(xi, *_check_tables(canonical_sigma(n), k, l), k, l)
+            _check_solves(xi, _check_tables(canonical_sigma(n), k, l), k, l)
 
 
 # every valid (n, k, l) with n <= 8, the trivial equation (n, n, n) included,
@@ -278,7 +278,7 @@ def test_check_solves_on_image_tuples():
 # most two chunks
 CHUNK_CASES = ([(n, k, l) for n in range(1, 9) for k, l in valid_pairs(n) + [(n, n)]]
                + [(n, k, l) for n in range(10, 17) for k, l in valid_pairs(n)
-                  if p_count(n, k) <= 2 * _CHUNK])
+                  if p_count(n, k) <= 2 * _chunk_rows(n)])
 
 
 @functools.cache
@@ -286,14 +286,14 @@ def chunks_of(n, k, l):
     """The blocks of solution_chunks, each with the list of the tuples of
     the construction that it holds."""
     tuples = _constructed(n, k, l, canonical_sigma(n))
-    return [(block, list(itertools.islice(tuples, _CHUNK)))
+    return [(block, list(itertools.islice(tuples, _chunk_rows(n))))
             for block in solution_chunks(n, k, l)]
 
 
 def row_check_message(xi, tables, k, l):
     """The RuntimeError message _check_solves gives for xi, or None."""
     try:
-        _check_solves(xi, *tables, k, l)
+        _check_solves(xi, tables, k, l)
     except RuntimeError as e:
         return str(e)
     return None
@@ -304,10 +304,10 @@ def assert_checks_agree(check, chunk, xi, tables, k, l):
     passes where the row check does."""
     expected = row_check_message(xi, tables, k, l)
     if expected is None:
-        check(chunk, *tables, k, l)
+        check(chunk, tables, k, l)
     else:
         with pytest.raises(RuntimeError) as exc:
-            check(chunk, *tables, k, l)
+            check(chunk, tables, k, l)
         assert str(exc.value) == expected
 
 
@@ -315,14 +315,15 @@ def test_chunk_check_passes_every_enumerated_chunk():
     for n, k, l in CHUNK_CASES:
         tables = _check_tables(canonical_sigma(n), k, l)
         chunks = chunks_of(n, k, l)
-        full, rest = divmod(p_count(n, k), _CHUNK)
-        assert [len(block) // n for block, _ in chunks] == [_CHUNK] * full + [rest] * (rest > 0)
+        rows = _chunk_rows(n)
+        full, rest = divmod(p_count(n, k), rows)
+        assert [len(block) // n for block, _ in chunks] == [rows] * full + [rest] * (rest > 0)
         for block, chunk in chunks:
             # images fit a byte, so the block is the bytes of the tuples
             flat = tuple(itertools.chain.from_iterable(chunk))
             assert block == bytes(flat)
-            assert _check_block(block, *tables, k, l) is block
-            assert _check_tuples(chunk, *tables, k, l) == flat
+            assert _check_block(block, tables, k, l) is block
+            assert _check_tuples(chunk, tables, k, l) == flat
 
 
 def test_chunk_check_on_both_sides_of_the_byte_boundary():
@@ -333,11 +334,12 @@ def test_chunk_check_on_both_sides_of_the_byte_boundary():
     for n, k, l, fits in [(255, 1, 2, True), (256, 1, 3, False), (256, 2, 2, False)]:
         tables = _check_tables(canonical_sigma(n), k, l)
         block = next(solution_chunks(n, k, l))
-        chunk = list(itertools.islice(_constructed(n, k, l, canonical_sigma(n)), _CHUNK))
-        assert len(block) == n * len(chunk) == n * min(p_count(n, k), _CHUNK)
+        rows = _chunk_rows(n)
+        chunk = list(itertools.islice(_constructed(n, k, l, canonical_sigma(n)), rows))
+        assert len(block) == n * len(chunk) == n * min(p_count(n, k), rows)
         flat = tuple(itertools.chain.from_iterable(chunk))
         assert block == (bytes(flat) if fits else flat)
-        assert _check_tuples(chunk, *tables, k, l) == flat
+        assert _check_tuples(chunk, tables, k, l) == flat
         xi = chunk[7]
         for bad in (xi[1::-1] + xi[2:], xi[:1] + xi[:-1], xi[:-1],
                     xi[:-1] + (256,), xi[:-1] + (0,), (-1,) + xi[1:]):
@@ -428,8 +430,32 @@ def test_block_check_rejects_what_column_sums_keep():
             message = row_check_message(xi, tables, k, l)
             assert message is not None
             with pytest.raises(RuntimeError) as exc:
-                _check_block(bad, *tables, k, l)
+                _check_block(bad, tables, k, l)
             assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n, k, l", [(12, 4, 4), (12, 4, 8), (16, 2, 6), (10, 5, 5),
+                                     (254, 2, 2)])
+def test_block_check_rejects_equation_solving_non_bijections(n, k, l):
+    # rows that satisfy the equation, so that only the bijection pass over
+    # the anchor columns can reject them: a real row with the values of one
+    # sigma^k position orbit copied onto the next (with canonical sigma the
+    # orbits are the residues mod k), and the all-zero row, which the
+    # zero-padded sigma^l table keeps at 0. In a real block, the block
+    # check fails each with the row check's message
+    tables = _check_tables(canonical_sigma(n), k, l)
+    block = next(solution_chunks(n, k, l))
+    r = len(block) // n // 2
+    xi = list(block[r * n:(r + 1) * n])
+    xi[1::k] = xi[0::k]
+    for bad in (tuple(xi), (0,) * n):
+        assert (tuple(map(bad.__getitem__, tables.sig_k0))
+                == tuple(map(tables.sig_l1.__getitem__, bad)))
+        message = row_check_message(bad, tables, k, l)
+        assert message == f"constructed [{' '.join(map(str, bad))}] is not a bijection of 1..{n}"
+        with pytest.raises(RuntimeError) as exc:
+            _check_block(block[:r * n] + bytes(bad) + block[(r + 1) * n:], tables, k, l)
+        assert str(exc.value) == message
 
 
 # valid (n, k, l) with n <= 16 and at most 50 000 solutions, and the least
@@ -441,14 +467,16 @@ BLOCK_CASES = ([(n, k, l) for n in range(1, 17) for k, l in valid_pairs(n) + [(n
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(BLOCK_CASES), st.sampled_from([1, 2, 7, 100, _CHUNK]))
+@given(st.sampled_from(BLOCK_CASES), st.sampled_from([1, 2, 7, 100, None]))
 def test_blocks_are_the_constructed_tuples(case, rows):
     # the byte construction, cut into chunks, holds the tuples of the
     # reference construction in their order, chunk for chunk, whatever the
-    # chunk size; each raw block holds 1 to _CHUNK whole rows
+    # chunk size, None standing for the real one; each raw block holds 1 to
+    # that many whole rows
     n, k, l = case
     sigma = canonical_sigma(n)
-    with mock.patch.object(es, "_CHUNK", rows):
+    rows = rows or _chunk_rows(n)
+    with mock.patch.object(es, "_chunk_rows", lambda n: rows):
         for block in _blocks(n, k, l, sigma):
             assert 1 <= len(block) // n <= rows and len(block) % n == 0
         tuples = _constructed(n, k, l, sigma)
