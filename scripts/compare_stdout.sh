@@ -3,7 +3,11 @@
 # The first list must exit 0 under both and print the same bytes on stdout.
 # The second list holds failing commands: each must exit non-zero under both,
 # with the same exit status and the same bytes on stdout and stderr. Each
-# checkout runs from its own src/.
+# command runs in a fresh interpreter. Then one interpreter per checkout
+# runs the first list again, in order, through cycleq.cli.main, so that
+# anything one call leaves for the next shows: its listing of exit status,
+# stdout length and stdout sha256 per command must be the same under both.
+# Each checkout runs from its own src/.
 #
 #   scripts/compare_stdout.sh BASE_DIR HEAD_DIR
 set -uo pipefail
@@ -125,4 +129,57 @@ for cmd in "${errors[@]}"; do
     status=1
   fi
 done
+
+# one line per command: exit status, stdout bytes, stdout sha256, command.
+# A -o PATH command is left out: /dev/stdout writes past the capture
+listing=$(cat <<'PY'
+import contextlib
+import hashlib
+import sys
+
+from cycleq.cli import main
+
+
+class Digest:
+    def __init__(self):
+        self.size, self.sha = 0, hashlib.sha256()
+
+    def write(self, text):
+        data = text.encode()
+        self.size += len(data)
+        self.sha.update(data)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+status = 0
+for cmd in sys.argv[1:]:
+    if "-o" in cmd.split():
+        continue
+    sink = Digest()
+    with contextlib.redirect_stdout(sink):
+        code = main(cmd.split())
+    print(code, sink.size, sink.sha.hexdigest(), cmd)
+    status |= code != 0
+sys.exit(status)
+PY
+)
+
+for side in base head; do
+  tree=${!side}
+  if ! PYTHONPATH="$tree/src" python3 -c "$listing" "${commands[@]}" \
+      >"$out/$side.listing" </dev/null; then
+    echo "FAIL  in-process listing (a command exited non-zero under $tree)"
+    status=1
+  fi
+done
+if cmp -s "$out/base.listing" "$out/head.listing"; then
+  echo "same  in-process listing ($(wc -l <"$out/head.listing") commands in one process)"
+else
+  echo "DIFF  in-process listing"
+  diff "$out/base.listing" "$out/head.listing"
+  status=1
+fi
 exit $status

@@ -5,12 +5,18 @@ Subcommands: compute (one class count), table (counts over a range), matrix
 of one equation), verify (brute force against the formulas). Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 internal invariant
 violation. Output is byte-deterministic for a fixed command line and seed.
+
+main(argv) may be called any number of times in one process. It builds its
+argument parser on the first call only and keeps nothing else between
+calls, so a request gives the same exit code and bytes whatever ran before
+it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import stat
 import sys
@@ -42,7 +48,12 @@ class UsageError(ValueError):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of this process, built on the first call.
+    It holds no state of any request: each parse fills a new Namespace, and
+    help and usage go to sys.stdout and sys.stderr as they are when printed.
+    """
     parser = argparse.ArgumentParser(
         prog="cycleq",
         description="Count equivalence classes of S_n under two-sided "

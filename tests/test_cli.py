@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cycleq.equation_solver as es
-from cycleq import cli, oracle
+from cycleq import DEFAULT_SEED, cli, oracle
 from cycleq.cli import ENV_ORACLE_BOUND, build_parser, main
 from cycleq.class_graph import build_gamma, export_dot
 from cycleq.counting import InexactDivision, count_table, q_count
@@ -839,8 +839,54 @@ def test_missing_command(capsys):
 
 def test_parser_builds_once():
     parser = build_parser()
+    assert build_parser() is parser
     ns = parser.parse_args(["compute", "5"])
     assert ns.command == "compute" and ns.n == 5
+    ns = parser.parse_args(["verify", "2", "3", "--oracle-bound", "2",
+                            "--seed", "5"])
+    assert (ns.oracle_bound, ns.seed) == (2, 5)
+    # the shared parser keeps nothing of the parse before
+    ns = parser.parse_args(["verify", "2", "3"])
+    assert (ns.oracle_bound, ns.seed) == (None, DEFAULT_SEED)
+
+
+def test_requests_give_the_same_answer_in_any_order(capsys, monkeypatch,
+                                                    tmp_path):
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+    target = tmp_path / "solutions.txt"
+    argvs = [
+        ["--help"],
+        ["solve", "--help"],
+        [],
+        ["compute", "x"],
+        ["compute", "0"],
+        ["table", "5", "2"],
+        ["verify", "2", "3", "--oracle-bound", "2"],
+        ["verify", "2", "3"],
+        ["solve", "5", "1", "2", "-o", str(target)],
+        ["table", "2", "19", "-f", "csv"],
+        ["matrix", "12", "-f", "json"],
+        ["graph", "12"],
+    ]
+
+    def answers(order):
+        got = {tuple(argv): run(argv, capsys) for argv in order}
+        got["file"] = target.read_text()
+        target.unlink()
+        return got
+
+    forwards = answers(argvs)
+    assert forwards == answers(argvs[::-1])
+    assert forwards["file"] == SOLVE_5_1_2
+    assert [forwards[tuple(argv)][0] for argv in argvs] == [
+        0, 0, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0]
+    assert forwards[("compute", "x")][2].startswith("usage: cycleq compute")
+    # the environment is read by each request, not kept from the first
+    monkeypatch.setenv(ENV_ORACLE_BOUND, "2")
+    code, out, err = run(["verify", "2", "3"], capsys)
+    assert (code, out) == (2, "") and "bound" in err
+    monkeypatch.delenv(ENV_ORACLE_BOUND)
+    assert run(["verify", "2", "3"], capsys) == forwards[("verify", "2", "3")]
 
 
 def test_module_entry_point():
