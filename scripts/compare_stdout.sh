@@ -26,10 +26,14 @@ commands=(
   "graph 12"
   "graph 5040 -f dot"
   "graph 5040 -f json"
+  "graph 10080 -f json"
   "compute 10080"
+  "compute 20160"
+  "compute 55440 -f json"
   "matrix 1"
   "matrix 2520 -f json"
   "matrix 5040 -f json"
+  "matrix 10080"
   "table 1 40"
   "table 2 400 -f csv"
   "solve 9 3 3 -f json"

@@ -6,7 +6,9 @@ unique maximal vertex is <n,n>. An arc multiplies both coordinates by a prime
 p dividing n/k, reducing the second coordinate into {1..n} (zero written as
 n). build_gamma lists both straight from that description, in ascending
 order, without searching: divisors k ascending, units u ascending under
-each k, and each vertex's arcs by ascending p.
+each k, and each vertex's arcs by ascending p. It builds whole rows, one
+per k, and whole arc families, one per (k, p), with C-level map and zip,
+so no Python code runs per vertex or per arc.
 
 A directed path of length at least one is the strict order the paper's
 counting recursion sums over. Each arc multiplies both coordinates by a prime, so a
@@ -19,6 +21,8 @@ counting uses neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, compress, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -55,28 +59,44 @@ class GammaGraph:
 
 
 def build_gamma(n: int) -> GammaGraph:
-    """List the graph for modulus n, vertices and arcs in ascending order."""
+    """List the graph for modulus n, vertices and arcs in ascending order.
+
+    Row k holds <k, k*u> for the units u mod m = n/k, ascending, which a
+    bytearray sieve over the primes of m marks (row n is <n,n> alone). The
+    arcs for a prime p | m send <k, k*u> to the vertex of row k*p whose unit
+    is u mod m/p, so each (k, p) family is one zip of the row with those
+    looked-up targets; a row with several primes interleaves its families,
+    keeping each vertex's arcs in ascending p. Rows, families and the
+    interleaving are C-level map, zip and chain, with no Python step per
+    vertex or arc.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    # rows[k] maps l to the vertex <k,l>; arcs look their targets up here
-    # instead of building a second Vertex for each one
+    primes = prime_factors(n)
+    make = partial(tuple.__new__, Vertex)
+    # k -> (units mod n/k, the row's vertices, unit -> vertex)
     rows = {}
     for k in divisors(n):
         m = n // k
         if m == 1:
-            rows[k] = {n: Vertex(n, n)}
+            units, row = [0], [Vertex(n, n)]
         else:
-            rows[k] = {k * u: Vertex(k, k * u)
-                       for u in range(1, m) if gcd(u, m) == 1}
-    primes = prime_factors(n)
+            sieve = bytearray(b"\x01") * m
+            for p in primes:
+                if m % p == 0:
+                    sieve[::p] = bytes(len(range(0, m, p)))
+            units = list(compress(range(m), sieve))
+            row = list(map(make, zip(repeat(k), map(k.__mul__, units))))
+        rows[k] = units, row, dict(zip(units, row))
     arcs = []
-    for k, row in rows.items():
-        # k*p grows with p, so ascending p keeps each vertex's arcs sorted
-        steps = [(p, rows[k * p]) for p in primes if (n // k) % p == 0]
-        for l, v in row.items():
-            for p, targets in steps:
-                arcs.append((v, targets[residue(l * p, n)]))
-    vertices = tuple(v for row in rows.values() for v in row.values())
+    for k, (units, row, _) in rows.items():
+        m = n // k
+        families = [
+            zip(row, map(rows[k * p][2].__getitem__,
+                         map((m // p).__rmod__, units)))
+            for p in primes if m % p == 0]
+        arcs += chain.from_iterable(zip(*families))
+    vertices = tuple(chain.from_iterable(row for _, row, _ in rows.values()))
     return GammaGraph(n, vertices, tuple(arcs))
 
 

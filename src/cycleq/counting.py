@@ -13,7 +13,7 @@ InexactDivision rather than rounding anything over.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import factorial
+from math import factorial, perm
 
 from .zn_ring import InexactDivision  # noqa: F401  still importable from here
 from .zn_ring import _exact_div, divisors, is_prime, to_decimal, totient
@@ -54,13 +54,19 @@ def _h_values(n: int, ks: list[int]) -> list[Column]:
     exponent k, so G(k) = phi(n/k) * (k-1)! * (n/k)**(k-1) minus the G(r)
     of the proper divisors r of k: the paper's recursion multiplied through
     by phi(n/k), which cancels tau(k, r) = phi(n/r) / phi(n/k). The proper
-    divisors of ks[i] are the members of ks[:i] that divide it.
+    divisors of ks[i] are the members of ks[:i] that divide it. (k-1)! is
+    chained in ascending k, each step one math.perm(k-1, k-prev), the
+    product prev * ... * (k-1), which CPython forms as a balanced product
+    in C.
     """
     phi = {k: totient(n // k) for k in ks}
     g: dict[int, int] = {}
     cols = []
+    fact, prev = 1, 1
     for i, k in enumerate(ks):
-        g[k] = (phi[k] * factorial(k - 1) * (n // k) ** (k - 1)
+        fact *= perm(k - 1, k - prev)
+        prev = k
+        g[k] = (phi[k] * fact * (n // k) ** (k - 1)
                 - sum(g[r] for r in ks[:i] if k % r == 0))
         h = _exact_div(g[k], k * phi[k], f"h({n},{k})")
         cols.append(Column(k, phi[k], h, phi[k] * h))
@@ -85,13 +91,21 @@ class CountTable(namedtuple("CountTable", "n columns total")):
 
     __slots__ = ()
 
+    def _decimals(self) -> tuple[list[str], list[str]]:
+        """The h and product strings of every column. A column with
+        phi(n/k) = 1 (k = n and k = n/2, the two largest) has product = h,
+        so its count is converted once."""
+        hs = [to_decimal(c.h) for c in self.columns]
+        products = [h if c.phi == 1 else to_decimal(c.product)
+                    for c, h in zip(self.columns, hs)]
+        return hs, products
+
     def to_text(self) -> str:
         labels = ("k|n", "phi(n/k)", "h(n,k)", "phi*h")
         rows = [
             [str(c.k) for c in self.columns],
             [to_decimal(c.phi) for c in self.columns],
-            [to_decimal(c.h) for c in self.columns],
-            [to_decimal(c.product) for c in self.columns],
+            *self._decimals(),
         ]
         label_w = max(len(s) for s in labels)
         widths = [max(len(rows[r][j]) for r in range(4))
@@ -111,8 +125,8 @@ class CountTable(namedtuple("CountTable", "n columns total")):
         decimal strings."""
         columns = ", ".join([
             f'{{"k": {c.k}, "phi": "{to_decimal(c.phi)}", '
-            f'"h": "{to_decimal(c.h)}", "product": "{to_decimal(c.product)}"}}'
-            for c in self.columns])
+            f'"h": "{h}", "product": "{product}"}}'
+            for c, h, product in zip(self.columns, *self._decimals())])
         return (f'{{"n": {self.n}, "columns": [{columns}], '
                 f'"total": "{to_decimal(self.total)}"}}')
 

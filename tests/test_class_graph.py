@@ -192,6 +192,10 @@ def test_build_and_exports_match_the_closure_reference(gamma_by_closure):
         ref, dot, doc = gamma_by_closure(n)
         assert g.vertices == tuple(sorted(ref.vertices)), n
         assert g.arcs == tuple(sorted(ref.arcs)), n
+        # equal plain tuples would pass the checks above
+        assert {type(v) for v in g.vertices} == {Vertex}, n
+        assert {type(a) for a, _ in g.arcs} <= {Vertex}, n
+        assert {type(b) for _, b in g.arcs} <= {Vertex}, n
         assert export_dot(g) == dot, n
         assert export_json(g) == doc, n
 

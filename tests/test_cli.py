@@ -903,7 +903,7 @@ def test_module_entry_point():
     ("from cycleq.cli import main; main(['compute', '2'])",
      ["cycleq.counting", "cycleq.zn_ring"],
      ["cycleq.class_graph", "cycleq.equation_solver", "cycleq.oracle",
-      "cycleq.permutation", "dataclasses", "json"]),
+      "cycleq.permutation", "dataclasses", "decimal", "json"]),
     ("from cycleq.cli import main; main(['solve', '3', '3', '3'])",
      ["cycleq.equation_solver", "cycleq.permutation"],
      ["cycleq.class_graph", "cycleq.oracle"]),
