@@ -47,6 +47,8 @@ commands=(
   "solve 12 6 6 -f json"
   "solve 14 7 7 -f json"
   "solve 15 5 5 -f json"
+  "solve 60 3 9"
+  "solve 60 3 9 -f json"
   "solve 99 1 98 -f json"
   "solve 100 1 3 -f json"
   "solve 254 2 2"
@@ -54,6 +56,7 @@ commands=(
   "solve 255 1 2"
   "solve 256 1 3"
   "solve 256 2 2"
+  "solve 300 1 7"
   "solve 1 1 1"
   "solve 8 8 8 -o /dev/stdout"
   "verify 2 6"

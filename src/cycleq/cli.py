@@ -25,14 +25,8 @@ from collections.abc import Callable, Iterable, Iterator
 # a command imports what it runs beyond counting and zn_ring itself, so
 # that a start loads only the modules its command uses
 from . import DEFAULT_BOUND, DEFAULT_SEED
-from .counting import (
-    InexactDivision,
-    count_table,
-    p_count,
-    predicted_size_histogram,
-    q_count,
-)
-from .zn_ring import to_decimal
+from .counting import count_table, p_count, predicted_size_histogram, q_count
+from .zn_ring import InexactDivision, to_decimal
 
 __all__ = ["main"]
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial, perm
 
-from .zn_ring import InexactDivision  # noqa: F401  still importable from here
 from .zn_ring import _exact_div, divisors, is_prime, to_decimal, totient
 
 __all__ = [

@@ -1,26 +1,29 @@
-"""Constructive solving of sigma^k * xi == xi * sigma^l for a full cycle sigma.
+"""Constructive solving of sigma^k * xi == xi * sigma^l for the shift sigma.
 
-The base case k = 1 is solvable exactly when GCD(l, n) = 1, and then one
-anchor value xi(1) = a determines everything through the recursion
-xi(sigma^j(1)) = sigma^(j*l)(a). For general k the points {1..n} split into
-k blocks, the orbits of sigma^k, and a solution is one choice of a distinct
-target block plus an anchor value per block; that makes k! * (n/k)**k
-solutions. `solution_chunks` yields them in a fixed lexicographic order as
-row-major blocks of n images per row, each holding about _CHUNK_BYTES
-image bytes, and each checked as a whole before it is handed out: every
-row must be a bijection of 1..n and, for k < n, satisfy the equation on
-the precomputed powers of sigma. For n <= 255 every image fits a byte,
-and a block is built and checked as one bytes object by whole-column
-operations, with no Python object per solution, and the CLI formats it
-the same way. Once a byte block satisfies the equation, its bijection
-pass reads only one anchor column per sigma^k orbit, k columns in place
-of n. Wider images are built as tuples, checked one by one and handed out
-as one flat tuple per block. The rows are counted as they go, and a total
-other than k! * (n/k)**k is an error. `enumerate_solutions` wraps the rows
-as Permutations. Both take the plain numbers n, k, l and an optional
-sigma, the canonical n-cycle by default; check_parameters is the one check
-of the exponents, and a sigma that is not a full n-cycle is rejected after
-it, when iteration starts.
+sigma is the canonical n-cycle (1 2 ... n), whose powers are residue
+arithmetic: sigma^e(v) is v + e mod n, written in 1..n. Any other n-cycle
+is a conjugate h sigma h^-1, and its solutions are the conjugates
+h xi h^-1 of these. The base case k = 1 is solvable exactly when
+GCD(l, n) = 1, and then one anchor value xi(1) = a determines everything:
+xi(1 + j) = a + j*l mod n. For general k the points {1..n} split into k
+blocks, the orbits of sigma^k, which are the residue classes mod k, and a
+solution is one choice of a distinct target block plus an anchor value
+per block; that makes k! * (n/k)**k solutions. `solution_chunks` yields
+them in a fixed lexicographic order as row-major blocks of n images per
+row, each holding about _CHUNK_BYTES image bytes, and each checked as a
+whole before it is handed out: every row must be a bijection of 1..n and,
+for k < n, satisfy the equation on the powers of sigma built by
+permutation.power, which the construction never calls. For n <= 255
+every image fits a byte, and a block is built and checked as one bytes
+object by whole-column operations, with no Python object per solution,
+and the CLI formats it the same way. Once a byte block satisfies the
+equation, its bijection pass reads only one anchor column per sigma^k
+orbit, k columns in place of n. Wider images are built as tuples, checked
+one by one and handed out as one flat tuple per block. The rows are
+counted as they go, and a total other than k! * (n/k)**k is an error.
+`enumerate_solutions` wraps the rows as Permutations. Both take the plain
+numbers n, k, l; check_parameters is the one check of the exponents, and
+it runs when iteration starts.
 """
 
 from __future__ import annotations
@@ -32,7 +35,14 @@ from math import factorial, gcd
 from operator import itemgetter
 
 from .counting import p_count
-from .permutation import Permutation, _require_cycle, compose, identity, power
+from .permutation import (
+    Permutation,
+    _require_cycle,
+    canonical_sigma,
+    compose,
+    identity,
+    power,
+)
 
 __all__ = [
     "InvalidParameters",
@@ -66,30 +76,16 @@ class InvalidParameters(ValueError):
     """(n, k, l) is not a valid solution family; carries the failed condition."""
 
 
-def block_partition(n: int, k: int,
-                    sigma: Permutation | None = None) -> tuple[tuple[int, ...], ...]:
+def block_partition(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Orbits of sigma^k on {1..n}: k blocks of n/k points each.
 
-    Each block lists the orbit of its first point in orbit order, and that
-    point is the least one not covered by the earlier blocks, so the first
-    block starts at 1.
+    Block i is the residue class i, i + k, ..., i + n - k of the points, in
+    orbit order, for i = 1..k: each block starts at the least point not
+    covered by the earlier blocks, so the first block starts at 1.
     """
     if n < 1 or k < 1 or n % k:
         raise ValueError(f"k={k} must be a divisor of n={n}")
-    sigma = _require_cycle(n, sigma)
-    sig_k = power(sigma, k)
-    covered = [False] * (n + 1)
-    blocks = []
-    for _ in range(k):
-        m = next(i for i in range(1, n + 1) if not covered[i])
-        block = []
-        pos = m
-        for _ in range(n // k):
-            block.append(pos)
-            covered[pos] = True
-            pos = sig_k(pos)
-        blocks.append(tuple(block))
-    return tuple(blocks)
+    return tuple(tuple(range(i, n + 1, k)) for i in range(1, k + 1))
 
 
 # what the checks compare against, computed apart from the construction:
@@ -115,9 +111,9 @@ def _orbit_index(perm: Permutation) -> list[int]:
     return index
 
 
-def _check_tables(sigma: Permutation, k: int, l: int) -> _Tables:
-    """The _Tables of the equation of sigma, k and l, for _check_solves,
-    _check_block and _check_tuples.
+def _check_tables(n: int, k: int, l: int) -> _Tables:
+    """The _Tables of the equation of n, k and l, for _check_solves,
+    _check_block and _check_tuples, from the powers of canonical_sigma(n).
 
     The anchors are the least position of each sigma^k orbit, and plane q
     sends each point v whose sigma^l orbit has number i, 8q <= i < 8q + 8,
@@ -125,7 +121,7 @@ def _check_tables(sigma: Permutation, k: int, l: int) -> _Tables:
     bits. For k == n both powers are the identity, so the anchors are all
     n columns and the planes the one-hot code of the points themselves.
     """
-    n = sigma.degree
+    sigma = canonical_sigma(n)
     sig_k, sig_l = power(sigma, k), power(sigma, l)
     anchors, planes = [], []
     if n <= 255:  # the images of a byte block
@@ -160,8 +156,9 @@ def _check_solves(xi: tuple[int, ...], tables: _Tables, k: int, l: int) -> None:
     raise RuntimeError(f"constructed [{' '.join(map(str, xi))}] {problem}")
 
 
-def solve_base(n: int, l: int, a: int, sigma: Permutation | None = None) -> Permutation:
-    """One solution of sigma * xi == xi * sigma^l with xi(1) == a.
+def solve_base(n: int, l: int, a: int) -> Permutation:
+    """One solution of sigma * xi == xi * sigma^l with xi(1) == a:
+    xi(1 + j) = a + j*l mod n, written in 1..n.
 
     Solvable exactly when GCD(l, n) == 1; raises NoSolution otherwise.
     """
@@ -171,20 +168,12 @@ def solve_base(n: int, l: int, a: int, sigma: Permutation | None = None) -> Perm
         raise ValueError(f"l must be positive, got {l}")
     if not 1 <= a <= n:
         raise ValueError(f"anchor a={a} outside 1..{n}")
-    sigma = _require_cycle(n, sigma)
     if gcd(l, n) != 1:
         raise NoSolution(
             f"sigma * xi == xi * sigma^{l} unsolvable in S_{n}: "
             f"GCD({l},{n}) = {gcd(l, n)}")
-    sig_l = power(sigma, l)
-    images = [0] * n
-    pos, val = 1, a
-    for _ in range(n):
-        images[pos - 1] = val
-        pos = sigma(pos)
-        val = sig_l(val)
-    xi = tuple(images)
-    _check_solves(xi, _check_tables(sigma, 1, l), 1, l)
+    xi = tuple([(a - 1 + j * l) % n + 1 for j in range(n)])
+    _check_solves(xi, _check_tables(n, 1, l), 1, l)
     return Permutation(xi)
 
 
@@ -211,8 +200,7 @@ def check_parameters(n: int, k: int, l: int) -> str | None:
     return None
 
 
-def _constructed(n: int, k: int, l: int,
-                 sigma: Permutation) -> Iterator[tuple[int, ...]]:
+def _constructed(n: int, k: int, l: int) -> Iterator[tuple[int, ...]]:
     """Every solution of a valid (n, k, l) as an image tuple, unchecked.
 
     The construction for n >= 256, and the reference order of _blocks.
@@ -220,8 +208,8 @@ def _constructed(n: int, k: int, l: int,
     if k == n:
         # sigma^n is the identity on both sides, so everything solves it
         return itertools.permutations(range(1, n + 1))
-    blocks = block_partition(n, k, sigma)
-    targets = _orbits(sigma, l, blocks)
+    blocks = block_partition(n, k)
+    targets = _orbits(n, l, blocks)
     # a choice of anchors concatenates one orbit per block, block by block,
     # so position p of xi reads entry place[p] of that concatenation
     m = n // k
@@ -235,25 +223,17 @@ def _constructed(n: int, k: int, l: int,
             for choice in itertools.product(*(targets[t] for t in assignment)))
 
 
-def _orbits(sigma: Permutation, l: int,
+def _orbits(n: int, l: int,
             blocks: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, ...]]]:
-    """targets[t][c] is the orbit v, sigma^l(v), ... of length n/k of the
-    c-th least point v of block t: the images that anchor value gives a
-    block, in sigma^k orbit order."""
-    sig_l = power(sigma, l)
-    targets = []
-    for block in blocks:
-        orbits = []
-        for v in sorted(block):
-            seq = [v]
-            for _ in range(len(block) - 1):
-                seq.append(sig_l(seq[-1]))
-            orbits.append(tuple(seq))
-        targets.append(orbits)
-    return targets
+    """targets[t][c] is the orbit v, v + l, ... mod n of length n/k of the
+    c-th least point v of block t, under sigma^l: the images that anchor
+    value gives a block, in sigma^k orbit order."""
+    steps = range(0, len(blocks[0]) * l, l)
+    return [[tuple([(v - 1 + s) % n + 1 for s in steps]) for v in block]
+            for block in blocks]
 
 
-def _blocks(n: int, k: int, l: int, sigma: Permutation) -> Iterator[bytes]:
+def _blocks(n: int, k: int, l: int) -> Iterator[bytes]:
     """Every solution of a valid (n, k, l) with n <= 255, in the order of
     _constructed, as row-major bytes blocks of 1 to _chunk_rows(n) rows,
     unchecked.
@@ -288,8 +268,8 @@ def _blocks(n: int, k: int, l: int, sigma: Permutation) -> Iterator[bytes]:
             rest = bytes(sorted(set(values).difference(prefix)))
             yield template.translate(rest + bytes(prefix) + pad)
         return
-    blocks = block_partition(n, k, sigma)
-    targets = _orbits(sigma, l, blocks)
+    blocks = block_partition(n, k)
+    targets = _orbits(n, l, blocks)
     m = n // k
     g = k
     while g and m ** (k - g + 1) <= most:
@@ -382,33 +362,29 @@ def _check_tuples(chunk: list[tuple[int, ...]], tables: _Tables,
     return tuple(itertools.chain.from_iterable(chunk))
 
 
-def solution_chunks(n: int, k: int, l: int, sigma: Permutation | None = None
-                    ) -> Iterator[bytes | tuple[int, ...]]:
-    """Every solution of sigma^k * xi == xi * sigma^l over S_n, sigma the
-    canonical n-cycle by default, in a fixed order, as row-major blocks of
-    n images per row and _chunk_rows(n) rows per block, about _CHUNK_BYTES
-    images (the last block may be shorter).
+def solution_chunks(n: int, k: int, l: int) -> Iterator[bytes | tuple[int, ...]]:
+    """Every solution of sigma^k * xi == xi * sigma^l over S_n, in a fixed
+    order, as row-major blocks of n images per row and _chunk_rows(n) rows
+    per block, about _CHUNK_BYTES images (the last block may be shorter).
 
     A block is bytes for n <= 255, where every image fits a byte, and a
     tuple of ints otherwise; either way block[r * n:(r + 1) * n] is row r.
     Each block is checked as a whole before it is yielded, with the
     property _check_solves proves for one row. The rows are counted as
     they are yielded: after the last block, a total other than
-    k! * (n/k)**k raises RuntimeError. Both rejections come when iteration
-    starts: invalid (n, k, l) raises InvalidParameters, with the failed
-    condition spelled out, and then a sigma that is not a full n-cycle
-    raises ValueError.
+    k! * (n/k)**k raises RuntimeError. Invalid (n, k, l) raises
+    InvalidParameters, with the failed condition spelled out, when
+    iteration starts.
     """
     reason = check_parameters(n, k, l)
     if reason is not None:
         raise InvalidParameters(reason)
-    sigma = _require_cycle(n, sigma)
-    tables = _check_tables(sigma, k, l)
+    tables = _check_tables(n, k, l)
     if n <= 255:
-        chunks = _rechunked(_blocks(n, k, l, sigma), n)
+        chunks = _rechunked(_blocks(n, k, l), n)
         check = _check_block
     else:
-        tuples = _constructed(n, k, l, sigma)
+        tuples = _constructed(n, k, l)
         rows = _chunk_rows(n)
         chunks = iter(lambda: list(itertools.islice(tuples, rows)), [])
         check = _check_tuples
@@ -423,17 +399,15 @@ def solution_chunks(n: int, k: int, l: int, sigma: Permutation | None = None
                            f"(n={n}, k={k}, l={l}), expected {count}")
 
 
-def enumerate_solutions(n: int, k: int, l: int,
-                        sigma: Permutation | None = None) -> list[Permutation]:
+def enumerate_solutions(n: int, k: int, l: int) -> list[Permutation]:
     """Every solution of sigma^k * xi == xi * sigma^l over S_n, in the
     order of solution_chunks.
 
     The result has exactly k! * (n/k)**k members. Invalid (n, k, l) raises
-    InvalidParameters with the failed condition spelled out, and then a
-    sigma that is not a full n-cycle raises ValueError.
+    InvalidParameters with the failed condition spelled out.
     """
     return [Permutation(tuple(block[at:at + n]))
-            for block in solution_chunks(n, k, l, sigma)
+            for block in solution_chunks(n, k, l)
             for at in range(0, len(block), n)]
 
 

@@ -13,12 +13,11 @@ decimal module, subquadratic and log2 of the bit length deep.
 
 from __future__ import annotations
 
-from math import gcd, isqrt  # gcd is re-exported on purpose; no point rewriting it
+from math import isqrt
 
 __all__ = [
     "InexactDivision",
     "divisors",
-    "gcd",
     "is_prime",
     "prime_factors",
     "residue",

@@ -18,7 +18,7 @@ import cycleq.equation_solver as es
 from cycleq import DEFAULT_SEED, cli, oracle
 from cycleq.cli import ENV_ORACLE_BOUND, build_parser, main
 from cycleq.class_graph import build_gamma, export_dot
-from cycleq.counting import InexactDivision, count_table, q_count
+from cycleq.counting import count_table, q_count
 from cycleq.equation_solver import (
     _chunk_rows,
     check_parameters,
@@ -26,6 +26,7 @@ from cycleq.equation_solver import (
 )
 from cycleq.oracle import enumerate_classes
 from cycleq.permutation import one_line
+from cycleq.zn_ring import InexactDivision
 
 GOLDEN = [
     (2, 1), (3, 2), (4, 3), (5, 8), (6, 24), (7, 108), (8, 640),

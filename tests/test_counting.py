@@ -4,7 +4,6 @@ from math import factorial
 import pytest
 
 from cycleq.counting import (
-    InexactDivision,
     NotPrime,
     count_table,
     h_count,
@@ -15,7 +14,13 @@ from cycleq.counting import (
     wilson_check,
 )
 from cycleq.oracle import count_equation_solutions
-from cycleq.zn_ring import divisors, is_prime, to_decimal, totient
+from cycleq.zn_ring import (
+    InexactDivision,
+    divisors,
+    is_prime,
+    to_decimal,
+    totient,
+)
 
 # class counts for n = 2..19, cross-checked against the brute-force oracle
 # for n <= 8 (see test_oracle / test_acceptance) and frozen here

@@ -19,6 +19,7 @@ from cycleq.equation_solver import (
     _check_tuples,
     _chunk_rows,
     _constructed,
+    _orbits,
     _rechunked,
     block_partition,
     check_parameters,
@@ -32,9 +33,8 @@ from cycleq.permutation import (
     Permutation,
     canonical_sigma,
     compose,
+    cycles,
     identity,
-    inverse,
-    is_full_cycle,
     power,
 )
 from cycleq.zn_ring import divisors
@@ -93,29 +93,6 @@ def test_solve_base_input_validation():
         solve_base(5, 0, 1)
     with pytest.raises(ValueError):
         solve_base(5, 2, 6)
-    with pytest.raises(ValueError):
-        solve_base(5, 2, 1, sigma=canonical_sigma(4))
-    with pytest.raises(ValueError):
-        solve_base(4, 3, 1, sigma=Permutation((2, 1, 4, 3)))
-
-
-@settings(deadline=None)
-@given(st.data())
-def test_solve_base_with_random_full_cycles(data):
-    n = data.draw(st.integers(min_value=2, max_value=9))
-    ls = [l for l in range(1, n) if gcd(l, n) == 1]
-    l = data.draw(st.sampled_from(ls))
-    a = data.draw(st.integers(min_value=1, max_value=n))
-    # a random full cycle: close a random arrangement into one loop
-    arrangement = data.draw(st.permutations(list(range(1, n + 1))))
-    images = [0] * n
-    for i in range(n):
-        images[arrangement[i] - 1] = arrangement[(i + 1) % n]
-    sigma = Permutation(tuple(images))
-    assert is_full_cycle(sigma)
-    xi = solve_base(n, l, a, sigma)
-    assert solves(sigma, 1, l, xi)
-    assert xi(1) == a
 
 
 def test_check_parameters_accepts_the_graph_vertices():
@@ -222,7 +199,7 @@ def test_solution_chunks_are_the_enumerated_solutions():
             blocks = list(solution_chunks(n, k, l))
             assert all(type(block) is bytes for block in blocks)
             images = [xi for block in blocks for xi in rows_of(block, n)]
-            assert images == list(_constructed(n, k, l, canonical_sigma(n)))
+            assert images == list(_constructed(n, k, l))
             assert images == [s.images for s in enumerate_solutions(n, k, l)]
 
 
@@ -253,11 +230,10 @@ def test_solution_chunks_count_the_construction(edit_construction, n, k, edit, c
 
 
 def test_check_solves_on_image_tuples():
-    sigma = canonical_sigma(5)
-    tables = _check_tables(sigma, 1, 2)
+    tables = _check_tables(5, 1, 2)
     # a solution passes, and so does every tuple of the trivial equation
     _check_solves((1, 3, 5, 2, 4), tables, 1, 2)
-    _check_solves((2, 1, 3), _check_tables(canonical_sigma(3), 3, 3), 3, 3)
+    _check_solves((2, 1, 3), _check_tables(3, 3, 3), 3, 3)
     # a bijection that fails sigma * xi == xi * sigma^2
     with pytest.raises(RuntimeError, match="^constructed .* fails sigma"):
         _check_solves((1, 2, 3, 4, 5), tables, 1, 2)
@@ -270,7 +246,7 @@ def test_check_solves_on_image_tuples():
                         (3, 3, 3, (1, 2)), (3, 3, 3, (1, 2, 3, 4)),
                         (3, 3, 3, (0, 1, 2))]:
         with pytest.raises(RuntimeError, match="^constructed .* not a bijection"):
-            _check_solves(xi, _check_tables(canonical_sigma(n), k, l), k, l)
+            _check_solves(xi, _check_tables(n, k, l), k, l)
 
 
 # every valid (n, k, l) with n <= 8, the trivial equation (n, n, n) included,
@@ -285,7 +261,7 @@ CHUNK_CASES = ([(n, k, l) for n in range(1, 9) for k, l in valid_pairs(n) + [(n,
 def chunks_of(n, k, l):
     """The blocks of solution_chunks, each with the list of the tuples of
     the construction that it holds."""
-    tuples = _constructed(n, k, l, canonical_sigma(n))
+    tuples = _constructed(n, k, l)
     return [(block, list(itertools.islice(tuples, _chunk_rows(n))))
             for block in solution_chunks(n, k, l)]
 
@@ -313,7 +289,7 @@ def assert_checks_agree(check, chunk, xi, tables, k, l):
 
 def test_chunk_check_passes_every_enumerated_chunk():
     for n, k, l in CHUNK_CASES:
-        tables = _check_tables(canonical_sigma(n), k, l)
+        tables = _check_tables(n, k, l)
         chunks = chunks_of(n, k, l)
         rows = _chunk_rows(n)
         full, rest = divmod(p_count(n, k), rows)
@@ -332,10 +308,10 @@ def test_chunk_check_on_both_sides_of_the_byte_boundary():
     # with the row check's message: the tuple check every kind, and the
     # block check those a block can hold
     for n, k, l, fits in [(255, 1, 2, True), (256, 1, 3, False), (256, 2, 2, False)]:
-        tables = _check_tables(canonical_sigma(n), k, l)
+        tables = _check_tables(n, k, l)
         block = next(solution_chunks(n, k, l))
         rows = _chunk_rows(n)
-        chunk = list(itertools.islice(_constructed(n, k, l, canonical_sigma(n)), rows))
+        chunk = list(itertools.islice(_constructed(n, k, l), rows))
         assert len(block) == n * len(chunk) == n * min(p_count(n, k), rows)
         flat = tuple(itertools.chain.from_iterable(chunk))
         assert block == (bytes(flat) if fits else flat)
@@ -363,7 +339,7 @@ def test_chunk_check_on_image_tuples():
             (3, 3, 3, (1, 2), "is not a bijection"),
             (3, 3, 3, (1, 2, 3, 4), "is not a bijection"),
             (3, 3, 3, (0, 1, 2), "is not a bijection")]:
-        tables = _check_tables(canonical_sigma(n), k, l)
+        tables = _check_tables(n, k, l)
         assert problem in row_check_message(xi, tables, k, l)
         block, first = chunks_of(n, k, l)[0]
         for chunk in ([xi], [xi] + first, first + [xi]):
@@ -402,7 +378,7 @@ def test_chunk_check_agrees_with_row_check(data):
     else:
         xi[i] = {"zero": 0, "past_n": n + 1, "minus_one": -1, "past_byte": 256}[kind]
     xi = tuple(xi)
-    tables = _check_tables(canonical_sigma(n), k, l)
+    tables = _check_tables(n, k, l)
     if kind in CORRUPTIONS[:4]:
         bad = block[:r * n] + bytes(xi) + block[(r + 1) * n:]
         assert_checks_agree(_check_block, bad, xi, tables, k, l)
@@ -415,7 +391,7 @@ def test_block_check_rejects_what_column_sums_keep():
     # the first bad row: two rows swapping their entries in one column,
     # which keeps every column's multiset, a repeated value, 0 and n + 1
     for n, k, l in [(9, 9, 9), (12, 4, 4), (10, 5, 5), (16, 2, 6)]:
-        tables = _check_tables(canonical_sigma(n), k, l)
+        tables = _check_tables(n, k, l)
         block, chunk = chunks_of(n, k, l)[0]
         r1, r2 = 3, len(chunk) - 2
         c = next(c for c in range(n) if chunk[r1][c] != chunk[r2][c])
@@ -443,7 +419,7 @@ def test_block_check_rejects_equation_solving_non_bijections(n, k, l):
     # orbits are the residues mod k), and the all-zero row, which the
     # zero-padded sigma^l table keeps at 0. In a real block, the block
     # check fails each with the row check's message
-    tables = _check_tables(canonical_sigma(n), k, l)
+    tables = _check_tables(n, k, l)
     block = next(solution_chunks(n, k, l))
     r = len(block) // n // 2
     xi = list(block[r * n:(r + 1) * n])
@@ -474,14 +450,13 @@ def test_blocks_are_the_constructed_tuples(case, rows):
     # chunk size, None standing for the real one; each raw block holds 1 to
     # that many whole rows
     n, k, l = case
-    sigma = canonical_sigma(n)
     rows = rows or _chunk_rows(n)
     with mock.patch.object(es, "_chunk_rows", lambda n: rows):
-        for block in _blocks(n, k, l, sigma):
+        for block in _blocks(n, k, l):
             assert 1 <= len(block) // n <= rows and len(block) % n == 0
-        tuples = _constructed(n, k, l, sigma)
+        tuples = _constructed(n, k, l)
         listed = 0
-        for block in _rechunked(_blocks(n, k, l, sigma), n):
+        for block in _rechunked(_blocks(n, k, l), n):
             chunk = list(itertools.islice(tuples, rows))
             assert block == bytes(itertools.chain.from_iterable(chunk))
             listed += len(chunk)
@@ -522,7 +497,7 @@ def test_block_partition_invariants_up_to_60():
     for n in range(1, 61):
         sigma = canonical_sigma(n)
         for k in divisors(n):
-            blocks = block_partition(n, k, sigma)
+            blocks = block_partition(n, k)
             assert blocks[0][0] == 1
             assert len(blocks) == k
             covered = set()
@@ -539,6 +514,24 @@ def test_block_partition_invariants_up_to_60():
                     pos = sig_k(pos)
                 covered |= set(block)
             assert covered == set(range(1, n + 1))
+
+
+def test_residue_construction_walks_the_powers_of_sigma():
+    # the blocks are the cycles of sigma^k, and each target orbit is the
+    # walk of sigma^l from its point, both taken from permutation.power
+    for n in range(1, 61):
+        sigma = canonical_sigma(n)
+        for k, l in valid_pairs(n) + [(n, n)]:
+            blocks = block_partition(n, k)
+            assert blocks == tuple(cycles(power(sigma, k))), (n, k)
+            sig_l = power(sigma, l)
+            for block, orbits in zip(blocks, _orbits(n, l, blocks), strict=True):
+                assert len(orbits) == len(block)
+                for v, orbit in zip(block, orbits):
+                    walk = [v]
+                    for _ in range(len(block) - 1):
+                        walk.append(sig_l(walk[-1]))
+                    assert orbit == tuple(walk), (n, k, l, v)
 
 
 def test_block_partition_preconditions():
@@ -609,17 +602,10 @@ def test_min_left_exponent_returns_minimal_k():
                 assert not solves(sigma, smaller, any_l, xi)
 
 
-def test_solution_chunks_validate_exponents_and_sigma():
-    # exponents outside 1..n fail check_parameters; a sigma that is not a
-    # full cycle is rejected after that. Both raise at the first next()
+def test_solution_chunks_validate_exponents():
+    # exponents outside 1..n fail check_parameters, at the first next()
     chunks = solution_chunks(4, 0, 2)
     with pytest.raises(InvalidParameters):
         next(chunks)
     with pytest.raises(InvalidParameters):
         next(solution_chunks(4, 2, 5))
-    with pytest.raises(ValueError) as exc:
-        next(solution_chunks(4, 2, 2, sigma=Permutation((2, 1, 4, 3))))
-    assert not isinstance(exc.value, InvalidParameters)
-    # sigma defaults to the canonical cycle
-    assert (list(solution_chunks(4, 2, 2))
-            == list(solution_chunks(4, 2, 2, canonical_sigma(4))))

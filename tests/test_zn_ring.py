@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 import cycleq.zn_ring as zn
 from cycleq.zn_ring import (
     divisors,
-    gcd,
     is_prime,
     prime_factors,
     residue,
@@ -46,12 +45,6 @@ def test_ops_agree_with_plain_modular_arithmetic(n, x, y):
     assert residue(residue(x, n) + residue(y, n), n) == residue(x + y, n)
 
 
-def test_gcd_is_the_stdlib_gcd():
-    assert gcd is math.gcd
-    assert gcd(12, 8) == 4
-    assert gcd(7, 12) == 1
-
-
 def test_totient_examples():
     assert totient(1) == 1
     assert totient(12) == 4
@@ -72,7 +65,7 @@ def test_totient_divisor_sum_identity():
 def test_totient_matches_gcd_count():
     # the definition: how many of 1..m are coprime to m
     for m in range(1, 2001):
-        assert totient(m) == sum(1 for j in range(1, m + 1) if gcd(j, m) == 1), m
+        assert totient(m) == sum(1 for j in range(1, m + 1) if math.gcd(j, m) == 1), m
 
 
 def test_to_decimal_past_the_int_str_guard():
