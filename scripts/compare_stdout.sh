@@ -47,6 +47,8 @@ commands=(
   "solve 12 6 6 -f json"
   "solve 14 7 7 -f json"
   "solve 15 5 5 -f json"
+  "solve 16 4 4"
+  "solve 20 4 8 -f json"
   "solve 60 3 9"
   "solve 60 3 9 -f json"
   "solve 99 1 98 -f json"

@@ -14,16 +14,17 @@ row, each holding about _CHUNK_BYTES image bytes, and each checked as a
 whole before it is handed out: every row must be a bijection of 1..n and,
 for k < n, satisfy the equation on the powers of sigma built by
 permutation.power, which the construction never calls. For n <= 255
-every image fits a byte, and a block is built and checked as one bytes
-object by whole-column operations, with no Python object per solution,
-and the CLI formats it the same way. Once a byte block satisfies the
-equation, its bijection pass reads only one anchor column per sigma^k
-orbit, k columns in place of n. Wider images are built as tuples, checked
-one by one and handed out as one flat tuple per block. The rows are
-counted as they go, and a total other than k! * (n/k)**k is an error.
-`enumerate_solutions` wraps the rows as Permutations. Both take the plain
-numbers n, k, l; check_parameters is the one check of the exponents, and
-it runs when iteration starts.
+every image fits a byte, and there is no Python object per solution: a
+block is one translate of a template whose rows relabel one solution
+residue class by residue class, it is checked as one bytes object by
+whole-column operations, and the CLI formats it the same way. Once a
+byte block satisfies the equation, its bijection pass reads only one
+anchor column per sigma^k orbit, k columns in place of n. Wider images
+are built as tuples, checked one by one and handed out as one flat tuple
+per block. The rows are counted as they go, and a total other than
+k! * (n/k)**k is an error. `enumerate_solutions` wraps the rows as
+Permutations. Both take the plain numbers n, k, l; check_parameters is
+the one check of the exponents, and it runs when iteration starts.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from math import factorial, gcd
+from math import gcd
 from operator import itemgetter
 
 from .counting import p_count
@@ -40,6 +41,7 @@ from .permutation import (
     _require_cycle,
     canonical_sigma,
     compose,
+    cycles,
     identity,
     power,
 )
@@ -96,21 +98,6 @@ def block_partition(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 _Tables = namedtuple("_Tables", "points sig_k0 sig_l1 anchors planes")
 
 
-def _orbit_index(perm: Permutation) -> list[int]:
-    """index[v - 1] numbers the orbit of the point v under perm, the orbits
-    counted in the order of their least points."""
-    index = [-1] * perm.degree
-    count = 0
-    for start in range(perm.degree):
-        if index[start] < 0:
-            v = start
-            while index[v] < 0:
-                index[v] = count
-                v = perm.images[v] - 1
-            count += 1
-    return index
-
-
 def _check_tables(n: int, k: int, l: int) -> _Tables:
     """The _Tables of the equation of n, k and l, for _check_solves,
     _check_block and _check_tuples, from the powers of canonical_sigma(n).
@@ -125,15 +112,15 @@ def _check_tables(n: int, k: int, l: int) -> _Tables:
     sig_k, sig_l = power(sigma, k), power(sigma, l)
     anchors, planes = [], []
     if n <= 255:  # the images of a byte block
-        positions, values = _orbit_index(sig_k), _orbit_index(sig_l)
-        anchors = list(map(positions.index, range(max(positions) + 1)))
-        orbits = max(values) + 1
-        for q in range(0, orbits, 8):
+        # cycles lists the orbits by least point, each led by that point
+        anchors = [orbit[0] - 1 for orbit in cycles(sig_k)]
+        orbits = cycles(sig_l)
+        for q in range(0, len(orbits), 8):
             plane = bytearray(256)
-            for v, i in enumerate(values, 1):
-                if q <= i < q + 8:
-                    plane[v] = 1 << i - q
-            planes.append((bytes(plane), (1 << min(8, orbits - q)) - 1))
+            for i, orbit in enumerate(orbits[q:q + 8]):
+                for v in orbit:
+                    plane[v] = 1 << i
+            planes.append((bytes(plane), (1 << len(orbits[q:q + 8])) - 1))
     return _Tables(set(range(1, n + 1)), tuple([v - 1 for v in sig_k.images]),
                    (0,) + sig_l.images, tuple(anchors), tuple(planes))
 
@@ -238,62 +225,50 @@ def _blocks(n: int, k: int, l: int) -> Iterator[bytes]:
     _constructed, as row-major bytes blocks of 1 to _chunk_rows(n) rows,
     unchecked.
 
-    k == n lists S_n: a template holds the j! arrangements of the last j
-    positions as 0..j-1, and the placeholder j + c in each earlier column
-    c; one translate per prefix of the first n - j images maps the
-    placeholders onto the prefix and 0..j-1 onto the remaining values in
-    ascending order. For k < n a block fixes the assignment of target
-    blocks and the orbits chosen for the first g groups, and the later
-    groups vary within it, the last fastest. Each of their columns is one
-    strided copy of a precomputed column, in which every orbit's entry is
-    repeated once per row of the choices after it and the whole tiled once
-    per choice of the groups between g and it.
+    A solution is xi0 relabelled class by class, xi0 being the one with
+    the identity assignment and every anchor at its least point: position
+    p holds p % k + (p // k) * l mod n, written in 1..n. Class d, the
+    values d + 1 mod k that xi0 gives group d, goes to the class of that
+    group's target block, rotated by its anchor in steps of k; one
+    256-byte table does it all. A template starts as xi0 and grows along
+    the lexicographic key (assignment, anchors) from its last component,
+    one translate per value of the new component, while it stays within
+    _chunk_rows(n) rows: the anchors from the last group back, then, once
+    every anchor varies, the target of each group from the second last
+    back. Each block is one translate of the template, one per value of
+    the components it leaves fixed.
     """
-    most = _chunk_rows(n)
-    if k == n:
-        j = 1
-        while j < n and factorial(j + 1) <= most:
-            j += 1
-        rows = factorial(j)
-        template = bytearray(rows * n)
-        for c in range(n - j):
-            template[c::n] = bytes((j + c,)) * rows
-        tail = bytes(itertools.chain.from_iterable(itertools.permutations(range(j))))
-        for c in range(j):
-            template[n - j + c::n] = tail[c::j]
-        template = bytes(template)
-        values = range(1, n + 1)
-        pad = bytes(256 - n)
-        for prefix in itertools.permutations(values, n - j):
-            rest = bytes(sorted(set(values).difference(prefix)))
-            yield template.translate(rest + bytes(prefix) + pad)
-        return
-    blocks = block_partition(n, k)
-    targets = _orbits(n, l, blocks)
     m = n // k
-    g = k
-    while g and m ** (k - g + 1) <= most:
+    turns = [[row[s:] + row[:s] for s in range(m)]
+             for row in (bytes(range(d + 1, n + 1, k)) for d in range(k))]
+    unmoved = bytes(range(256))
+
+    def table(prefix: tuple[int, ...], shifts: tuple[int, ...]) -> bytearray:
+        # group i targets prefix[i], the rest the remaining classes in
+        # ascending order; the first len(shifts) groups rotate by shifts[i]
+        order = prefix + tuple(sorted(set(range(k)).difference(prefix)))
+        out = bytearray(unmoved)
+        moves = itertools.zip_longest(order, shifts, fillvalue=0)
+        for i, (d, s) in enumerate(moves):
+            out[i + 1:n + 1:k] = turns[d][s]
+        return out
+
+    most = _chunk_rows(n)
+    template = bytes([(p % k + p // k * l) % n + 1 for p in range(n)])
+    rows, g, a = 1, k, k - 1  # the template varies groups g.. and targets a..
+    while g and rows * m <= most:
         g -= 1
-    rows = m ** (k - g)
-    # position p reads entry j of the orbit chosen for group i
-    fixed, varied = [], []
-    for i, block in enumerate(blocks):
-        for j, pos in enumerate(block):
-            (fixed if i < g else varied).append((pos - 1, i, j))
-    columns = [[[bytes(itertools.chain.from_iterable(
-                    [orbit[j]] * m ** (k - 1 - i) for orbit in orbits)) * m ** (i - g)
-                 for j in range(m)]
-                for i in range(g, k)]
-               for orbits in targets]
-    for assignment in itertools.permutations(range(k)):
-        for choice in itertools.product(*(targets[t] for t in assignment[:g])):
-            row = bytearray(n)
-            for p, i, j in fixed:
-                row[p] = choice[i][j]
-            block = row * rows
-            for p, i, j in varied:
-                block[p::n] = columns[assignment[i]][i - g][j]
-            yield bytes(block)
+        template = b"".join([template.translate(table((), (0,) * g + (s,)))
+                             for s in range(m)])
+        rows *= m
+    while not g and a and rows * (k - a + 1) <= most:
+        a -= 1
+        template = b"".join([template.translate(table((*range(a), a + r), ()))
+                             for r in range(k - a)])
+        rows *= k - a
+    for prefix in itertools.permutations(range(k), a):
+        for shifts in itertools.product(range(m), repeat=g):
+            yield template.translate(table(prefix, shifts))
 
 
 def _rechunked(blocks: Iterable[bytes], n: int) -> Iterator[bytes]:

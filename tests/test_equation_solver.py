@@ -464,6 +464,18 @@ def test_blocks_are_the_constructed_tuples(case, rows):
         assert listed == p_count(n, k)
 
 
+def test_blocks_sweep_mid_size_n():
+    # the byte blocks, joined, are the reference tuples for every valid
+    # (n, k, l) with n <= 40 and at most 2e6 image bytes, past the n <= 16
+    # of BLOCK_CASES
+    cases = [(n, k, l) for n in range(1, 41) for k, l in valid_pairs(n) + [(n, n)]
+             if p_count(n, k) * n <= 2_000_000]
+    assert len(cases) == 702
+    for n, k, l in cases:
+        expected = bytes(itertools.chain.from_iterable(_constructed(n, k, l)))
+        assert b"".join(_blocks(n, k, l)) == expected, (n, k, l)
+
+
 def test_scaling_closure():
     # a solution for (k,l) also solves the equation with both exponents
     # scaled by s; spot-check s = 2 and 3 over everything enumerated
