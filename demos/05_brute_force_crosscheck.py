@@ -8,40 +8,34 @@ x -> x sigma. Factorial growth caps this around n=8, but agreement there
 plus exact arithmetic above is the whole point.
 """
 
-import time
 from math import factorial
 
 from cycleq.class_graph import build_gamma
 from cycleq.counting import p_count, predicted_size_histogram, q_count
-from cycleq.oracle import (
-    count_equation_solutions,
-    enumerate_classes,
-    sigma_independence_check,
-)
+from cycleq.oracle import enumerate_classes, sigma_independence_check
 
 # --- class counts and size spectra ------------------------------------------
 
 print(" n   formula   brute    histogram")
 for n in range(1, 8):
-    t0 = time.perf_counter()
     rep = enumerate_classes(n)
-    dt = time.perf_counter() - t0
     agree = "ok" if (rep.class_count == q_count(n)
                      and rep.size_histogram == predicted_size_histogram(n)) else "MISMATCH"
-    print("%2d   %7d  %6d    %s  [%s, %.2fs]"
-          % (n, q_count(n), rep.class_count, rep.size_histogram, agree, dt))
+    print("%2d   %7d  %6d    %s  [%s]"
+          % (n, q_count(n), rep.class_count, rep.size_histogram, agree))
 print()
 
 # --- per-family solution counts ----------------------------------------------
 
 n = 6
 g = build_gamma(n)
+counts = enumerate_classes(n).solution_counts
 print("solution counts over n=%d, formula vs one class walk over the %d "
       "permutations with xi(1) = 1:" % (n, factorial(n - 1)))
 for v in g.vertices:
     if v.k == n:
         continue
-    brute = count_equation_solutions(n, v.k, v.l)
+    brute = counts.get((v.k, v.l), 0)
     print("  (k=%d, l=%d): formula %4d  brute %4d  %s"
           % (v.k, v.l, p_count(n, v.k), brute,
              "ok" if brute == p_count(n, v.k) else "MISMATCH"))

@@ -5,10 +5,9 @@ classes, so walking the group counts them with no number theory involved.
 Factorial growth makes this a small-n tool: calls are guarded by a
 configurable bound (default 8; one class walk takes about 0.03 s at n = 9
 and 0.3 s at n = 10: the median of five in-process walks read 0.027-0.039 s
-and 0.25-0.34 s over five sets on a shared 2-vCPU Xeon under Python
-3.11.7). Right
-multiplication by the powers of sigma moves xi(1) through every point once,
-so each orbit splits into n-element cosets that each meet the slice
+and 0.25-0.34 s over five sets on a shared 2-vCPU Xeon under Python 3.11.7).
+Right multiplication by the powers of sigma moves xi(1) through every point
+once, so each orbit splits into n-element cosets that each meet the slice
 xi(1) = 1 once. The walk therefore visits only that slice: for each of its
 elements it forms the n slice images sigma^a * xi * sigma^b(a), and the
 class is n times the number of distinct images. A class is counted at its
@@ -24,7 +23,9 @@ representative x that is its own image at a satisfies
 sigma^a * x == x * sigma^(n-b(a)), and so does every member
 sigma^c * x * sigma^d of its class, because powers of sigma commute with
 each other. The number of solutions of one equation is therefore the total
-size of the classes whose representative solves it.
+size of the classes whose representative solves it: solution_counts, for
+(k, l) in 1..n-1, an absent pair having none. Each of the n! xi solves
+sigma^0 * xi == xi * sigma^0; none solves one with one side the identity.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from math import factorial
 
 from . import DEFAULT_BOUND, DEFAULT_SEED
 from .permutation import (
@@ -50,7 +50,6 @@ __all__ = [
     "ClassReport",
     "DEFAULT_BOUND",
     "DEFAULT_SEED",
-    "count_equation_solutions",
     "enumerate_classes",
     "sigma_independence_check",
 ]
@@ -81,8 +80,8 @@ class ClassReport:
     size_histogram: dict[int, int]
     # optional (representative, size, least relation (k, l) or None) per class
     per_class: tuple | None = None
-    # (k, l) in 1..n-1 -> number of xi with sigma^k * xi == xi * sigma^l, an
-    # absent pair has none; derived from the classes, so not compared
+    # brute-force solution counts: (k, l) in 1..n-1 -> the number of xi
+    # with sigma^k * xi == xi * sigma^l, none if absent; derived, not compared
     solution_counts: dict = field(default_factory=dict, compare=False)
 
 
@@ -152,26 +151,6 @@ def enumerate_classes(n: int,
     return ClassReport(n, sigma, count, dict(sorted(histogram.items())),
                        tuple(details) if with_classes else None,
                        dict(solutions))
-
-
-def count_equation_solutions(n: int, k: int, l: int,
-                             sigma: Permutation | None = None,
-                             bound: int = DEFAULT_BOUND) -> int:
-    """Count xi with sigma^k * xi == xi * sigma^l, read off one class walk.
-
-    Exponents count mod n: every xi solves sigma^0 * xi == xi * sigma^0, and
-    none solves an equation with just one power the identity. Any other
-    equation holds for a whole class or for none of it, as its
-    representative does.
-    """
-    _check_bound(n, bound)
-    if k < 1 or l < 1:
-        raise ValueError(f"exponents must be positive, got k={k}, l={l}")
-    sigma = _require_cycle(n, sigma)
-    k, l = k % n, l % n
-    if k == 0 or l == 0:
-        return factorial(n) if k == l else 0
-    return enumerate_classes(n, sigma, bound).solution_counts.get((k, l), 0)
 
 
 def _random_full_cycle_conjugate(n: int, sigma: Permutation,

@@ -219,7 +219,7 @@ def count_solutions_by_scan(n: int, k: int, l: int,
                             sigma: Permutation | None = None,
                             bound: int = DEFAULT_BOUND) -> int:
     """Count xi with sigma^k * xi == xi * sigma^l by testing all of S_n one
-    point at a time. The reference for oracle.count_equation_solutions."""
+    point at a time. The reference for ClassReport.solution_counts."""
     _check_bound(n, bound)
     if k < 1 or l < 1:
         raise ValueError(f"exponents must be positive, got k={k}, l={l}")

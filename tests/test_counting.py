@@ -13,7 +13,7 @@ from cycleq.counting import (
     q_prime,
     wilson_check,
 )
-from cycleq.oracle import count_equation_solutions
+from cycleq.oracle import enumerate_classes
 from cycleq.zn_ring import (
     InexactDivision,
     divisors,
@@ -38,9 +38,10 @@ def test_p_count_examples():
 
 def test_p_count_matches_brute_force():
     # p(4,2) counts the solutions of the left-exponent-2 equation at n=4
-    assert count_equation_solutions(4, 2, 2) == p_count(4, 2)
-    assert count_equation_solutions(6, 2, 2) == p_count(6, 2)
-    assert count_equation_solutions(6, 3, 3) == p_count(6, 3)
+    assert enumerate_classes(4).solution_counts[2, 2] == p_count(4, 2)
+    counts = enumerate_classes(6).solution_counts
+    assert counts[2, 2] == p_count(6, 2)
+    assert counts[3, 3] == p_count(6, 3)
 
 
 def test_p_count_preconditions():
@@ -130,6 +131,14 @@ def test_class_count_balance_up_to_60(gamma):
         h = {k: h_count(n, k) for k in divisors(n)}
         proper = sum(v.k * n * h[v.k] for v in g.vertices if v.k < n)
         assert proper + n * n * h[n] == factorial(n)
+
+
+def test_class_equation_over_the_count_table():
+    # sum over k | n of k*n * phi(n/k) * h(n, k) = n!: each column's classes
+    # have k*n members, and together they tile S_n
+    for n in [*range(1, 401), 2520, 5040, 10080]:
+        assert sum(c.k * n * c.product for c in count_table(n).columns) \
+            == factorial(n), n
 
 
 def test_predicted_size_histogram_examples():

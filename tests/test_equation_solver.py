@@ -28,7 +28,7 @@ from cycleq.equation_solver import (
     solution_chunks,
     solve_base,
 )
-from cycleq.oracle import count_equation_solutions
+from cycleq.oracle import enumerate_classes
 from cycleq.permutation import (
     Permutation,
     canonical_sigma,
@@ -165,11 +165,12 @@ def test_enumerate_is_deterministic():
 def test_enumerate_counts_and_membership_up_to_8():
     for n in range(2, 9):
         sigma = canonical_sigma(n)
+        counts = enumerate_classes(n).solution_counts
         for k, l in valid_pairs(n):
             sols = enumerate_solutions(n, k, l)
             assert len(sols) == p_count(n, k)
             assert len(set(sols)) == len(sols)
-            assert count_equation_solutions(n, k, l) == len(sols)
+            assert counts[k, l] == len(sols)
             for xi in sols:
                 assert solves(sigma, k, l, xi)
 

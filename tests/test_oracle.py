@@ -13,7 +13,6 @@ from cycleq.oracle import (
     BoundExceeded,
     ClassReport,
     _random_full_cycle_conjugate,
-    count_equation_solutions,
     enumerate_classes,
     sigma_independence_check,
 )
@@ -70,16 +69,16 @@ def test_enumerate_classes_matches_bfs_reference(classes_by_bfs):
             assert got == want, (n, sigma)
 
 
-def test_count_equation_solutions_examples():
-    assert count_equation_solutions(4, 2, 2) == 8
-    assert count_equation_solutions(5, 1, 2) == 5
-    assert count_equation_solutions(6, 1, 2) == 0
+def test_solution_counts_examples():
+    assert enumerate_classes(4).solution_counts[2, 2] == 8
+    assert enumerate_classes(5).solution_counts[1, 2] == 5
+    assert (1, 2) not in enumerate_classes(6).solution_counts
 
 
-def test_count_equation_solutions_matches_scan_reference(solutions_by_scan, gamma):
+def test_solution_counts_match_scan_reference(solutions_by_scan, gamma):
     # the counts read off the class walk against the point-by-point scan,
-    # for every exponent pair and several full cycles; the walk records
-    # only pairs in 1..n-1, and n = 1 has none
+    # for every exponent pair in 1..n-1 and several full cycles; the walk
+    # records only those pairs, and n = 1 has none
     for n in range(1, 8):
         shift = canonical_sigma(n)
         rng = random.Random(DEFAULT_SEED)
@@ -88,40 +87,34 @@ def test_count_equation_solutions_matches_scan_reference(solutions_by_scan, gamm
         for sigma in sigmas:
             counts = enumerate_classes(n, sigma).solution_counts
             assert set(counts) <= set(itertools.product(range(1, n), repeat=2))
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
+            for k in range(1, n):
+                for l in range(1, n):
                     want = solutions_by_scan(n, k, l, sigma)
-                    assert count_equation_solutions(n, k, l, sigma) == want, (n, k, l, sigma)
-                    if k < n and l < n:
-                        assert counts.get((k, l), 0) == want, (n, k, l, sigma)
+                    assert counts.get((k, l), 0) == want, (n, k, l, sigma)
     # n = 8 for the shift, on the pairs that verify checks
     counts = enumerate_classes(8).solution_counts
     for v in gamma(8).vertices:
         if v.k < 8:
-            want = solutions_by_scan(8, v.k, v.l)
-            assert counts[v.k, v.l] == count_equation_solutions(8, v.k, v.l) == want, v
+            assert counts[v.k, v.l] == solutions_by_scan(8, v.k, v.l), v
 
 
 def test_solution_counts_for_all_pairs_up_to_7(gamma):
-    # every (k,l), valid or not: a pair is satisfied by the classes of each
-    # vertex <r,t> whose relation lattice contains it, i.e. u*r == k and
-    # u*t == l mod n for some u, plus the relation-free classes when both
-    # exponents vanish mod n
+    # every (k,l) in 1..n-1, valid or not: a pair is satisfied by the
+    # classes of each vertex <r,t> whose relation lattice contains it, i.e.
+    # u*r == k and u*t == l mod n for some u
     for n in range(1, 8):
         g = gamma(n)
         h = {k: h_count(n, k) for k in divisors(n)}
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
+        counts = enumerate_classes(n).solution_counts
+        for k in range(1, n):
+            for l in range(1, n):
                 expected = 0
                 for v in g.vertices:
-                    if v.k < n and any(u * v.k % n == k % n
-                                       and u * v.l % n == l % n
+                    if v.k < n and any(u * v.k % n == k and u * v.l % n == l
                                        for u in range(n)):
                         expected += v.k * n * h[v.k]
-                if k % n == 0 and l % n == 0:
-                    expected += n * n * h[n]
-                assert count_equation_solutions(n, k, l) == expected, (n, k, l)
-                if check_parameters(n, k, l) is None and k < n:
+                assert counts.get((k, l), 0) == expected, (n, k, l)
+                if check_parameters(n, k, l) is None:
                     assert expected == p_count(n, k)
 
 
@@ -172,16 +165,12 @@ def test_sigma_validation():
         enumerate_classes(4, Permutation((2, 1, 4, 3)))
     with pytest.raises(ValueError):
         enumerate_classes(4, canonical_sigma(5))
-    with pytest.raises(ValueError):
-        count_equation_solutions(4, 1, 1, Permutation((2, 1, 4, 3)))
 
 
 def test_bound_guard():
     assert DEFAULT_BOUND == 8
     with pytest.raises(BoundExceeded):
         enumerate_classes(9)
-    with pytest.raises(BoundExceeded):
-        count_equation_solutions(9, 1, 1)
     with pytest.raises(BoundExceeded):
         sigma_independence_check(9)
     with pytest.raises(BoundExceeded):
