@@ -23,17 +23,22 @@ commands=(
   "--help"
   "verify --help"
   "solve --help"
+  "graph 1"
+  "graph 1 -f json"
   "graph 12"
   "graph 5040 -f dot"
   "graph 5040 -f json"
   "graph 10080 -f json"
+  "compute 1 -f json"
   "compute 10080"
   "compute 20160"
   "compute 55440 -f json"
   "matrix 1"
+  "matrix 1 -f json"
   "matrix 2520 -f json"
   "matrix 5040 -f json"
   "matrix 10080"
+  "table 1 1 -f json"
   "table 1 40"
   "table 2 400 -f csv"
   "solve 9 3 3 -f json"
@@ -60,7 +65,9 @@ commands=(
   "solve 256 2 2"
   "solve 300 1 7"
   "solve 1 1 1"
+  "solve 1 1 1 -f json"
   "solve 8 8 8 -o /dev/stdout"
+  "verify 1 1"
   "verify 2 6"
   "verify 2 7"
   "verify 1 8"

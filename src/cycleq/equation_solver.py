@@ -36,15 +36,7 @@ from math import gcd
 from operator import itemgetter
 
 from .counting import p_count
-from .permutation import (
-    Permutation,
-    _require_cycle,
-    canonical_sigma,
-    compose,
-    cycles,
-    identity,
-    power,
-)
+from .permutation import Permutation, canonical_sigma, cycles, power
 
 __all__ = [
     "InvalidParameters",
@@ -386,21 +378,21 @@ def enumerate_solutions(n: int, k: int, l: int) -> list[Permutation]:
             for at in range(0, len(block), n)]
 
 
-def min_left_exponent(xi: Permutation,
-                      sigma: Permutation | None = None) -> tuple[int, int] | None:
+def min_left_exponent(xi: Permutation) -> tuple[int, int] | None:
     """Least k in 1..n-1 with sigma^k * xi == xi * sigma^l for some l.
 
     Returns the pair (k, l); the l is unique for that k. Returns None when
-    no such pair exists, which is the relation-free case.
+    no such pair exists, which is the relation-free case. sigma^k * xi
+    sends i to xi(i + k) and xi * sigma^l sends it to xi(i) + l, mod n, so
+    for each k the one candidate is l = xi(1 + k) - xi(1) mod n, never 0
+    as xi is a bijection, and it must then hold at every i: O(n^2) integer
+    steps. For another n-cycle tau = h * sigma * h^-1, the least relation
+    tau^k * xi == xi * tau^l of xi is min_left_exponent(h^-1 * xi * h).
     """
-    n = xi.degree
-    sigma = _require_cycle(n, sigma)
-    pow_sigma = [identity(n)]
-    for _ in range(n - 1):
-        pow_sigma.append(compose(pow_sigma[-1], sigma))
+    x = xi.images
+    n = len(x)
     for k in range(1, n):
-        left = compose(pow_sigma[k], xi)
-        for l in range(1, n):
-            if left == compose(xi, pow_sigma[l]):
-                return (k, l)
+        l = (x[k] - x[0]) % n
+        if all((a - b) % n == l for a, b in zip(x[k:] + x[:k], x)):
+            return (k, l)
     return None

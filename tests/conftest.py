@@ -8,7 +8,7 @@ import pytest
 from cycleq import equation_solver
 from cycleq.class_graph import GammaGraph, Vertex, build_gamma, tau
 from cycleq.counting import Column
-from cycleq.equation_solver import min_left_exponent, solution_chunks
+from cycleq.equation_solver import solution_chunks
 from cycleq.oracle import DEFAULT_BOUND, ClassReport, _check_bound
 from cycleq.permutation import Permutation, _require_cycle, canonical_sigma, power
 from cycleq.zn_ring import divisors, prime_factors, residue, totient
@@ -166,6 +166,38 @@ def _lehmer_rank(perm: tuple, fact: list[int]) -> int:
     return r
 
 
+def least_relation_by_power_lookup(sigma: Permutation):
+    """x -> the least (k, l) in 1..n-1 with sigma^k * xi == xi * sigma^l, or
+    None, for xi given by its 0-based images x: per k, inverse(xi) *
+    sigma^k * xi is looked up among the powers of sigma. The reference for
+    equation_solver.min_left_exponent, and under any full cycle for the
+    least relation of oracle.enumerate_classes."""
+    n = sigma.degree
+    sig = tuple(v - 1 for v in sigma.images)
+    sig_pows = [tuple(range(n))]
+    for _ in range(n - 1):
+        sig_pows.append(tuple(sig[v] for v in sig_pows[-1]))
+    pow_index = {p: e for e, p in enumerate(sig_pows)}
+
+    def lookup(x: tuple[int, ...]) -> tuple[int, int] | None:
+        inv = [0] * n
+        for i, v in enumerate(x):
+            inv[v] = i
+        for k in range(1, n):
+            y = tuple(x[sig_pows[k][i]] for i in range(n))
+            l = pow_index.get(tuple(y[inv[i]] for i in range(n)))
+            if l is not None and 1 <= l < n:
+                return (k, l)
+        return None
+
+    return lookup
+
+
+@pytest.fixture(scope="session")
+def mle_by_power_lookup():
+    return least_relation_by_power_lookup
+
+
 def enumerate_classes_by_bfs(n: int,
                              sigma: Permutation | None = None,
                              bound: int = DEFAULT_BOUND,
@@ -178,6 +210,7 @@ def enumerate_classes_by_bfs(n: int,
     _require_cycle(n, sigma)
 
     sig = tuple(v - 1 for v in sigma.images)  # 0-based for the hot loop
+    least_relation = least_relation_by_power_lookup(sigma)
     idx = range(n)
     fact = [factorial(i) for i in range(n)]
     visited = bytearray(factorial(n))
@@ -204,7 +237,7 @@ def enumerate_classes_by_bfs(n: int,
         histogram[size] += 1
         if with_classes:
             rep = Permutation(tuple(v + 1 for v in start))
-            details.append((rep, size, min_left_exponent(rep, sigma)))
+            details.append((rep, size, least_relation(start)))
 
     return ClassReport(n, sigma, count, dict(sorted(histogram.items())),
                        tuple(details) if with_classes else None)

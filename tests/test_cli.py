@@ -13,6 +13,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cycleq.equation_solver as es
 from cycleq import DEFAULT_SEED, cli, oracle
@@ -825,6 +826,49 @@ def test_help_exits_clean(capsys):
 
 def test_missing_command(capsys):
     assert run([], capsys)[0] == 2
+
+
+# argv for the fuzz test: a subcommand, help or an unknown word, then up to
+# four small signed ints, with options (valued or bare) and junk inserted
+# anywhere. The ints stay at most 7, so no request lists a large solution
+# set or walks S_n past n = 7
+_FUZZ_COMMANDS = ["compute", "table", "matrix", "graph", "solve", "verify"]
+_FUZZ_INT = st.integers(-3, 7).map(str)
+_FUZZ_JUNK = st.sampled_from(["", "x", "-", "--", ".", "1.5", "0x3", "-h",
+                              "frobnicate", *_FUZZ_COMMANDS])
+_FUZZ_PIECE = st.one_of(
+    _FUZZ_JUNK.map(lambda word: [word]),
+    st.sampled_from(["-f", "-o", "--seed", "--oracle-bound"]).map(lambda o: [o]),
+    st.tuples(st.just("-f"),
+              st.sampled_from(["text", "json", "csv", "dot"]) | _FUZZ_JUNK),
+    st.tuples(st.just("-o"), st.sampled_from(["out", "x.json"]) | _FUZZ_JUNK),
+    st.tuples(st.sampled_from(["--seed", "--oracle-bound"]),
+              _FUZZ_INT | _FUZZ_JUNK),
+)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    words = [draw(st.sampled_from([*_FUZZ_COMMANDS, "-h", "frobnicate"]))]
+    words += draw(st.lists(_FUZZ_INT, max_size=4))
+    for piece in draw(st.lists(_FUZZ_PIECE, max_size=3)):
+        at = draw(st.integers(0, len(words)))
+        words[at:at] = piece
+    return words
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_fuzz_argv())
+def test_random_argv_exits_with_a_documented_code(capsys, monkeypatch,
+                                                  tmp_path, argv):
+    # every argv ends in exit 0, 1, 2 or 3 and never in a traceback; a drawn
+    # -o WORD writes the file WORD, so the runs share one scratch directory
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
 
 
 def test_parser_builds_once():

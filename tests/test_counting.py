@@ -1,5 +1,6 @@
+import itertools
 import json
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -18,6 +19,7 @@ from cycleq.zn_ring import (
     InexactDivision,
     divisors,
     is_prime,
+    prime_factors,
     to_decimal,
     totient,
 )
@@ -251,6 +253,31 @@ def test_q_count_matches_burnside():
     # far past the n <= 8 brute force reaches
     for n in [*range(1, 401), 1000, 2520, 5040, 10080]:
         assert q_count(n) == burnside(n), n
+
+
+def h_by_moebius(n):
+    """{k: h(n, k)} for every divisor k of n by Moebius inversion, reading
+    no other column: F(r) = phi(n/r) * (r-1)! * (n/r)**(r-1) is the sum of
+    G over the divisors of r, so G(k) is the sum of mu(m) * F(k/m) over the
+    squarefree m | k, and h(n, k) = G(k) / (k * phi(n/k)), exactly."""
+    F = {r: totient(n // r) * factorial(r - 1) * (n // r) ** (r - 1)
+         for r in divisors(n)}
+    h = {}
+    for k in F:
+        primes = prime_factors(k)
+        g = sum((-1) ** size * F[k // prod(m)]
+                for size in range(len(primes) + 1)
+                for m in itertools.combinations(primes, size))
+        h[k], rem = divmod(g, k * totient(n // k))
+        assert rem == 0, f"G({k}) for n={n} leaves remainder {rem}"
+    return h
+
+
+def test_every_column_matches_moebius_inversion():
+    # a second method per column: the class equation and Burnside pin only
+    # the total, this pins each h(n, k) on its own
+    for n in [*range(1, 301), 720, 5040, 10080, 20160]:
+        assert {c.k: c.h for c in count_table(n).columns} == h_by_moebius(n), n
 
 
 def test_count_table_rejects_nonpositive():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from math import factorial, gcd
 from unittest import mock
 
@@ -35,6 +36,7 @@ from cycleq.permutation import (
     compose,
     cycles,
     identity,
+    inverse,
     power,
 )
 from cycleq.zn_ring import divisors
@@ -572,32 +574,24 @@ def test_min_left_exponent_none_is_genuine():
             assert not solves(sigma, k, l, xi)
 
 
-def _mle_by_power_lookup(x, sig_pows, pow_index, n):
-    """Independent reimplementation: sigma^l == inverse(xi) * (sigma^k xi)."""
-    inv = [0] * n
-    for i, v in enumerate(x):
-        inv[v] = i
-    for k in range(1, n):
-        y = tuple(x[sig_pows[k][i]] for i in range(n))
-        rho = tuple(y[inv[i]] for i in range(n))
-        l = pow_index.get(rho)
-        if l is not None and 1 <= l < n:
-            return (k, l)
-    return None
-
-
-def test_min_left_exponent_against_independent_method():
-    for n in range(2, 7):
-        sigma = canonical_sigma(n)
-        sig0 = tuple(v - 1 for v in sigma.images)
-        sig_pows = [tuple(range(n))]
-        for _ in range(n - 1):
-            sig_pows.append(tuple(sig0[v] for v in sig_pows[-1]))
-        pow_index = {p: e for e, p in enumerate(sig_pows)}
+def test_min_left_exponent_against_independent_method(mle_by_power_lookup):
+    # every xi of S_n for n <= 7, then sampled solutions of one equation at
+    # larger n, each of which has a relation no later than the equation's k
+    for n in range(1, 8):
+        lookup = mle_by_power_lookup(canonical_sigma(n))
         for perm in itertools.permutations(range(n)):
             xi = Permutation(tuple(v + 1 for v in perm))
-            expected = _mle_by_power_lookup(perm, sig_pows, pow_index, n)
-            assert min_left_exponent(xi, sigma) == expected
+            assert min_left_exponent(xi) == lookup(perm)
+    rng = random.Random(2014)
+    for n in (20, 40, 60):
+        lookup = mle_by_power_lookup(canonical_sigma(n))
+        for k, l in rng.sample(valid_pairs(n), 3):
+            block = next(solution_chunks(n, k, l))
+            for r in rng.sample(range(len(block) // n), 3):
+                row = tuple(block[r * n:(r + 1) * n])
+                got = min_left_exponent(Permutation(row))
+                assert got is not None and got[0] <= k, (n, k, l, row)
+                assert got == lookup(tuple(v - 1 for v in row)), (n, k, l, row)
 
 
 def test_min_left_exponent_returns_minimal_k():
@@ -605,7 +599,7 @@ def test_min_left_exponent_returns_minimal_k():
     sigma = canonical_sigma(6)
     for perm in itertools.permutations(range(1, 7)):
         xi = Permutation(perm)
-        res = min_left_exponent(xi, sigma)
+        res = min_left_exponent(xi)
         if res is None:
             continue
         k, l = res
@@ -613,6 +607,22 @@ def test_min_left_exponent_returns_minimal_k():
         for smaller in range(1, k):
             for any_l in range(1, 6):
                 assert not solves(sigma, smaller, any_l, xi)
+
+
+def test_min_left_exponent_under_a_conjugate_cycle(mle_by_power_lookup):
+    # the docstring's recipe: under tau = h * sigma * h^-1 the least relation
+    # of xi is min_left_exponent(h^-1 * xi * h)
+    rng = random.Random(2014)
+    for n in range(1, 7):
+        sigma = canonical_sigma(n)
+        for _ in range(3):
+            h = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            lookup = mle_by_power_lookup(compose(compose(h, sigma), inverse(h)))
+            for perm in itertools.permutations(range(1, n + 1)):
+                xi = Permutation(perm)
+                conjugate = compose(compose(inverse(h), xi), h)
+                assert min_left_exponent(conjugate) \
+                    == lookup(tuple(v - 1 for v in perm)), (h, xi)
 
 
 def test_solution_chunks_validate_exponents():

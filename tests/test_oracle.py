@@ -56,7 +56,7 @@ def test_oracle_agrees_with_formula_small_n():
 def test_enumerate_classes_matches_bfs_reference(classes_by_bfs):
     # the slice walk against the flood fill over all of S_n: same counts,
     # histograms, and representatives in the same order with the same least
-    # relation, the flood fill's found by a compose search
+    # relation, the flood fill's found by a lookup among the powers of sigma
     for n in range(1, 9):
         shift = canonical_sigma(n)
         rng = random.Random(DEFAULT_SEED)
