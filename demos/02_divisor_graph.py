@@ -52,4 +52,4 @@ for r in divisors(n):
 print()
 
 # The DOT export is stable (sorted) so diffs are meaningful.
-print(export_dot(build_gamma(6)))
+print(export_dot(6))

@@ -26,9 +26,14 @@ commands=(
   "graph 1"
   "graph 1 -f json"
   "graph 12"
+  "graph 97"
+  "graph 1024 -f json"
+  "graph 2310"
+  "graph 2310 -f json"
   "graph 5040 -f dot"
   "graph 5040 -f json"
   "graph 10080 -f json"
+  "graph 30030 -f json"
   "compute 1 -f json"
   "compute 10080"
   "compute 20160"

@@ -4,11 +4,15 @@ Vertices are pairs <k,l> where k divides n and l encodes the right-hand
 exponent attached to k: for k < n, l = k*u for a unit u modulo n/k, and the
 unique maximal vertex is <n,n>. An arc multiplies both coordinates by a prime
 p dividing n/k, reducing the second coordinate into {1..n} (zero written as
-n). build_gamma lists both straight from that description, in ascending
+n). One row layout lists both straight from that description, in ascending
 order, without searching: divisors k ascending, units u ascending under
-each k, and each vertex's arcs by ascending p. It builds whole rows, one
-per k, and whole arc families, one per (k, p), with C-level map and zip,
-so no Python code runs per vertex or per arc.
+each k, and each vertex's arcs by ascending p. It makes whole rows, one per
+k, and whole arc families, one per (k, p), with C-level map, zip and
+compress, so no Python code runs per vertex or per arc. What a vertex
+becomes is its caller's choice: build_gamma makes Vertex tuples and pairs
+them into arcs, while export_dot and export_json take n and make text
+straight from the integers, so an export builds no graph, no Vertex and
+no per-arc format call.
 
 A directed path of length at least one is the strict order the paper's
 counting recursion sums over. Each arc multiplies both coordinates by a prime, so a
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
 from math import gcd
+from operator import add
 from typing import NamedTuple
 
 from .zn_ring import _exact_div, divisors, prime_factors, residue, totient
@@ -58,46 +63,62 @@ class GammaGraph:
     arcs: tuple[tuple[Vertex, Vertex], ...]
 
 
-def build_gamma(n: int) -> GammaGraph:
-    """List the graph for modulus n, vertices and arcs in ascending order.
+def _layout(n: int, label, pair) -> tuple[list, list]:
+    """The graph for modulus n as label and pair make it: its vertices and
+    its arcs, each in ascending order.
 
     Row k holds <k, k*u> for the units u mod m = n/k, ascending, which a
-    bytearray sieve over the primes of m marks (row n is <n,n> alone). The
-    arcs for a prime p | m send <k, k*u> to the vertex of row k*p whose unit
-    is u mod m/p, so each (k, p) family is one zip of the row with those
-    looked-up targets; a row with several primes interleaves its families,
-    keeping each vertex's arcs in ascending p. Rows, families and the
-    interleaving are C-level map, zip and chain, with no Python step per
-    vertex or arc.
+    bytearray sieve over the primes of m marks (row n is <n,n> alone).
+    label(k, ls) makes what the row's vertices, with second coordinates ls,
+    become in three roles: vertices, arc sources and arc targets; the last
+    two must be lists. The arcs for a prime p | m send <k, k*u> to the
+    vertex of row k*p whose unit is u mod m/p. Row k*p's targets, repeated
+    p times, line up with the residues mod m that are units mod m/p (row
+    k*p's sieve repeated p times marks them); row k's sieve read at those
+    residues marks the units mod m among them, which picks each source's
+    target in row order. Each (k, p) family is pair(sources, targets), and
+    a row with several primes interleaves its families, keeping each
+    vertex's arcs in ascending p.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
     primes = prime_factors(n)
-    make = partial(tuple.__new__, Vertex)
-    # k -> (units mod n/k, the row's vertices, unit -> vertex)
-    rows = {}
+    vertices = []
+    rows = {}  # k -> (sieve, sources, targets)
     for k in divisors(n):
         m = n // k
-        if m == 1:
-            units, row = [0], [Vertex(n, n)]
-        else:
-            sieve = bytearray(b"\x01") * m
-            for p in primes:
-                if m % p == 0:
-                    sieve[::p] = bytes(len(range(0, m, p)))
-            units = list(compress(range(m), sieve))
-            row = list(map(make, zip(repeat(k), map(k.__mul__, units))))
-        rows[k] = units, row, dict(zip(units, row))
+        sieve = bytearray(b"\x01") * m
+        for p in primes:
+            if m % p == 0:
+                sieve[::p] = bytes(len(range(0, m, p)))
+        ls = list(map(k.__mul__, compress(range(m), sieve))) if m > 1 else [n]
+        row, sources, targets = label(k, ls)
+        vertices += row
+        rows[k] = sieve, sources, targets
     arcs = []
-    for k, (units, row, _) in rows.items():
+    for k, (sieve, sources, _) in rows.items():
         m = n // k
-        families = [
-            zip(row, map(rows[k * p][2].__getitem__,
-                         map((m // p).__rmod__, units)))
-            for p in primes if m % p == 0]
+        families = []
+        for p in primes:
+            if m % p == 0:
+                above, _, targets = rows[k * p]
+                families.append(pair(sources, compress(
+                    targets * p, compress(sieve, above * p))))
         arcs += chain.from_iterable(zip(*families))
-    vertices = tuple(chain.from_iterable(row for _, row, _ in rows.values()))
-    return GammaGraph(n, vertices, tuple(arcs))
+    return vertices, arcs
+
+
+def build_gamma(n: int) -> GammaGraph:
+    """List the graph for modulus n, vertices and arcs in ascending order:
+    each vertex one Vertex in every role, each arc a (source, target) pair."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    make = partial(tuple.__new__, Vertex)
+
+    def label(k, ls):
+        row = list(map(make, zip(repeat(k), ls)))
+        return row, row, row
+
+    vertices, arcs = _layout(n, label, zip)
+    return GammaGraph(n, tuple(vertices), tuple(arcs))
 
 
 def _is_vertex(n: int, v: Vertex) -> bool:
@@ -134,20 +155,37 @@ def tau(g: GammaGraph, k: int, r: int) -> int:
     return _exact_div(totient(g.n // r), totient(g.n // k), f"tau({k},{r})")
 
 
-def export_dot(g: GammaGraph) -> str:
-    """Graphviz text, vertices and arcs in ascending (k,l) order."""
-    name = {v: f"{v.k},{v.l}" for v in g.vertices}
-    lines = [f"digraph gamma_{g.n} {{"]
-    lines += [f'    "{s}" [label="<{s}>"];' for s in name.values()]
-    lines += [f'    "{name[a]}" -> "{name[b]}";' for a, b in g.arcs]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _dot_label(k: int, ls: list[int]) -> tuple:
+    """Row k's node lines, arc-line heads and arc-line tails."""
+    return (map(f'    "{k},%d" [label="<{k},%d>"];'.__mod__, zip(ls, ls)),
+            list(map(f'    "{k},%d" -> "'.__mod__, ls)),
+            list(map(f'{k},%d";'.__mod__, ls)))
 
 
-def export_json(g: GammaGraph) -> str:
+def export_dot(n: int) -> str:
+    """Graphviz text of the graph for modulus n, vertices and arcs in
+    ascending (k,l) order. Each line is formatted once per vertex from its
+    integers, each arc line is one concatenation of its source's and its
+    target's text, and the lines are joined once; no Vertex is built."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    vertices, arcs = _layout(n, _dot_label, partial(map, add))
+    return "\n".join([f"digraph gamma_{n} {{", *vertices, *arcs, "}\n"])
+
+
+def _json_label(k: int, ls: list[int]) -> tuple:
+    """Row k's vertex items, arc-item heads and arc-item tails."""
+    return (map(f"[{k}, %d]".__mod__, ls),
+            list(map(f"[[{k}, %d], ".__mod__, ls)),
+            list(map(f"[{k}, %d]]".__mod__, ls)))
+
+
+def export_json(n: int) -> str:
     """{"n": n, "vertices": [[k, l], ...], "arcs": [[[k, l], [k', l']], ...]}
-    in ascending order, byte for byte what json.dumps writes for it."""
-    item = {v: f"[{v.k}, {v.l}]" for v in g.vertices}
-    vertices = ", ".join(item.values())
-    arcs = ", ".join([f"[{item[a]}, {item[b]}]" for a, b in g.arcs])
-    return f'{{"n": {g.n}, "vertices": [{vertices}], "arcs": [{arcs}]}}'
+    for the graph for modulus n, in ascending order, byte for byte what
+    json.dumps writes for it; made as export_dot makes its text."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    vertices, arcs = _layout(n, _json_label, partial(map, add))
+    return "".join([f'{{"n": {n}, "vertices": [', ", ".join(vertices),
+                    '], "arcs": [', ", ".join(arcs), "]}"])

@@ -148,11 +148,10 @@ def cmd_matrix(ns: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def cmd_graph(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    from .class_graph import build_gamma, export_dot, export_json
-    g = build_gamma(ns.n)
+    from .class_graph import export_dot, export_json
     if ns.format == "json":
-        return EXIT_OK, [export_json(g) + "\n"]
-    return EXIT_OK, [export_dot(g)]
+        return EXIT_OK, [export_json(ns.n), "\n"]
+    return EXIT_OK, [export_dot(ns.n)]
 
 
 def _row_text(n: int, joiner: str, sep: str,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial, perm
 
-from .zn_ring import _exact_div, divisors, is_prime, to_decimal, totient
+from .zn_ring import _divisor_totients, _exact_div, divisors, is_prime, to_decimal
 
 __all__ = [
     "Column",
@@ -56,19 +56,21 @@ def _h_values(n: int, ks: list[int]) -> list[Column]:
     divisors of ks[i] are the members of ks[:i] that divide it. (k-1)! is
     chained in ascending k, each step one math.perm(k-1, k-prev), the
     product prev * ... * (k-1), which CPython forms as a balanced product
-    in C.
+    in C. Every phi(n/k) is read off one map of the totients of n's
+    divisors, built from one factorization of n.
     """
-    phi = {k: totient(n // k) for k in ks}
+    totients = _divisor_totients(n)
     g: dict[int, int] = {}
     cols = []
     fact, prev = 1, 1
     for i, k in enumerate(ks):
         fact *= perm(k - 1, k - prev)
         prev = k
-        g[k] = (phi[k] * fact * (n // k) ** (k - 1)
+        phi = totients[n // k]
+        g[k] = (phi * fact * (n // k) ** (k - 1)
                 - sum(g[r] for r in ks[:i] if k % r == 0))
-        h = _exact_div(g[k], k * phi[k], f"h({n},{k})")
-        cols.append(Column(k, phi[k], h, phi[k] * h))
+        h = _exact_div(g[k], k * phi, f"h({n},{k})")
+        cols.append(Column(k, phi, h, phi * h))
     return cols
 
 

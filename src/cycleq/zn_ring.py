@@ -81,6 +81,21 @@ def totient(m: int) -> int:
     return result
 
 
+def _divisor_totients(n: int) -> dict[int, int]:
+    """{d: totient(d)} for every divisor d of n, from one factorization of
+    n: multiplying a divisor d prime to p by p**i multiplies its totient by
+    p**(i-1) * (p-1)."""
+    phi = {1: 1}
+    for p in prime_factors(n):
+        coprime = list(phi.items())
+        q, t = p, p - 1
+        while n % q == 0:
+            for d, f in coprime:
+                phi[d * q] = f * t
+            q, t = q * p, t * p
+    return phi
+
+
 class InexactDivision(ArithmeticError):
     """A count formula left a remainder; never rounded over."""
 

@@ -49,8 +49,9 @@ def test_gamma_1_and_2():
 
 
 def test_build_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        build_gamma(0)
+    for make in (build_gamma, export_dot, export_json):
+        with pytest.raises(ValueError):
+            make(0)
 
 
 def test_precedes_examples():
@@ -186,8 +187,9 @@ def test_tau_and_precedes_match_the_graph_up_to_120(gamma, reach, tau_by_scan):
 def test_build_and_exports_match_the_closure_reference(gamma_by_closure):
     # ascending tuples built from the arithmetic against the saturated
     # frozensets, sorted; the exports byte for byte against sorting and
-    # json.dumps
-    for n in [*range(1, 401), 5040]:
+    # json.dumps. 2310 and 30030 interleave five and six prime families
+    # in a row
+    for n in [*range(1, 401), 2310, 5040, 30030]:
         g = build_gamma(n)
         ref, dot, doc = gamma_by_closure(n)
         assert g.vertices == tuple(sorted(ref.vertices)), n
@@ -196,12 +198,12 @@ def test_build_and_exports_match_the_closure_reference(gamma_by_closure):
         assert {type(v) for v in g.vertices} == {Vertex}, n
         assert {type(a) for a, _ in g.arcs} <= {Vertex}, n
         assert {type(b) for _, b in g.arcs} <= {Vertex}, n
-        assert export_dot(g) == dot, n
-        assert export_json(g) == doc, n
+        assert export_dot(n) == dot, n
+        assert export_json(n) == doc, n
 
 
 def test_export_dot_gamma_12():
-    text = export_dot(build_gamma(12))
+    text = export_dot(12)
     lines = text.strip().splitlines()
     assert lines[0] == "digraph gamma_12 {"
     assert lines[-1] == "}"
@@ -214,7 +216,6 @@ def test_export_dot_gamma_12():
 
 
 def test_export_dot_small_and_deterministic():
-    g2 = build_gamma(2)
     expected = (
         "digraph gamma_2 {\n"
         '    "1,1" [label="<1,1>"];\n'
@@ -222,12 +223,12 @@ def test_export_dot_small_and_deterministic():
         '    "1,1" -> "2,2";\n'
         "}\n"
     )
-    assert export_dot(g2) == expected
-    assert export_dot(build_gamma(12)) == export_dot(build_gamma(12))
+    assert export_dot(2) == expected
+    assert export_dot(12) == export_dot(12)
 
 
 def test_export_json_schema_and_order():
-    doc = json.loads(export_json(build_gamma(12)))
+    doc = json.loads(export_json(12))
     assert doc["n"] == 12
     assert doc["vertices"] == sorted(doc["vertices"])
     assert doc["arcs"] == sorted(doc["arcs"])

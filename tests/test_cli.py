@@ -16,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cycleq.equation_solver as es
-from cycleq import DEFAULT_SEED, cli, oracle
+from cycleq import DEFAULT_SEED, class_graph, cli, oracle
 from cycleq.cli import ENV_ORACLE_BOUND, build_parser, main
-from cycleq.class_graph import build_gamma, export_dot
+from cycleq.class_graph import export_dot
 from cycleq.counting import count_table, q_count
 from cycleq.equation_solver import (
     _chunk_rows,
@@ -218,7 +218,7 @@ def test_graph_dot_small(capsys):
 def test_graph_dot_shape(capsys):
     code, out, err = run(["graph", "12"], capsys)
     assert code == 0
-    assert out == export_dot(build_gamma(12))
+    assert out == export_dot(12)
     lines = out.splitlines()
     assert lines[0] == "digraph gamma_12 {"
     assert lines[-1] == "}"
@@ -233,6 +233,21 @@ def test_graph_json(capsys):
     assert doc["n"] == 12
     assert len(doc["vertices"]) == 12
     assert len(doc["arcs"]) == 17
+
+
+def test_graph_builds_no_gamma_graph(capsys, monkeypatch):
+    # both exports come straight from the row layout, never through a
+    # built GammaGraph
+    def refuse(n):
+        raise AssertionError("graph built Gamma_n")
+
+    monkeypatch.setattr(class_graph, "build_gamma", refuse)
+    code, out, err = run(["graph", "60"], capsys)
+    assert (code, err) == (0, "")
+    assert out == export_dot(60)
+    code, out, err = run(["graph", "60", "-f", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["vertices"]) == 60
 
 
 def test_graph_rejects_unknown_format(capsys):

@@ -221,18 +221,21 @@ def test_inexact_division_is_loud(monkeypatch):
     # recursion and tau read
     import cycleq.class_graph as class_graph
     import cycleq.counting as counting
-    real = counting.totient
+    real = counting._divisor_totients
     # phi(14) read as 12 makes G(1) = 12 and G(2) = 6*7 - 12 = 30, which
     # the division by k * phi(7) = 12 must refuse to round
-    monkeypatch.setattr(counting, "totient", lambda m: 12 if m == 14 else real(m))
+    monkeypatch.setattr(counting, "_divisor_totients",
+                        lambda n: {**real(n), 14: 12})
     with pytest.raises(InexactDivision, match=r"h\(14,2\): division by 12 "):
         counting._h_values(14, [1, 2])
     # phi(7) read as 4 makes G(2) = 4*7 - 6 = 22, and 8 does not divide it
-    monkeypatch.setattr(counting, "totient", lambda m: 4 if m == 7 else real(m))
+    monkeypatch.setattr(counting, "_divisor_totients",
+                        lambda n: {**real(n), 7: 4})
     with pytest.raises(InexactDivision, match=r"h\(14,2\): division by 8 "):
         counting._h_values(14, [1, 2])
     # the same phi(7) leaves a remainder in tau(2,1) = 6/4 itself
-    monkeypatch.setattr(class_graph, "totient", lambda m: 4 if m == 7 else real(m))
+    monkeypatch.setattr(class_graph, "totient",
+                        lambda m: 4 if m == 7 else totient(m))
     with pytest.raises(InexactDivision, match=r"tau\(2,1\)"):
         class_graph.tau(class_graph.build_gamma(14), 2, 1)
 

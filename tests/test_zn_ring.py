@@ -68,6 +68,14 @@ def test_totient_matches_gcd_count():
         assert totient(m) == sum(1 for j in range(1, m + 1) if math.gcd(j, m) == 1), m
 
 
+def test_divisor_totients_match_totient():
+    # built multiplicatively from one factorization of n, keyed by exactly
+    # the divisors of n
+    for n in range(1, 3001):
+        phi = zn._divisor_totients(n)
+        assert phi == {d: totient(d) for d in divisors(n)}, n
+
+
 def test_to_decimal_past_the_int_str_guard():
     # inner chunks keep their leading zeros, and chunk boundaries carry over
     assert to_decimal(0) == "0"
