@@ -78,6 +78,8 @@ commands=(
   "verify 1 8"
   "verify 2 8 --seed 5"
   "verify 9 9 --oracle-bound 9"
+  "verify 2 9 --oracle-bound 9 --seed 17"
+  "verify 10 10 --oracle-bound 10"
 )
 
 # leading NAME=VALUE words go to the environment

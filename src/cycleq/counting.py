@@ -60,16 +60,18 @@ def _h_values(n: int, ks: list[int]) -> list[Column]:
     divisors, built from one factorization of n.
     """
     totients = _divisor_totients(n)
-    g: dict[int, int] = {}
+    gs: list[int] = []
     cols = []
     fact, prev = 1, 1
-    for i, k in enumerate(ks):
+    for k in ks:
         fact *= perm(k - 1, k - prev)
         prev = k
         phi = totients[n // k]
-        g[k] = (phi * fact * (n // k) ** (k - 1)
-                - sum(g[r] for r in ks[:i] if k % r == 0))
-        h = _exact_div(g[k], k * phi, f"h({n},{k})")
+        # gs holds G(r) for the members r of ks before k; zip stops there
+        g = (phi * fact * (n // k) ** (k - 1)
+             - sum([gr for r, gr in zip(ks, gs) if k % r == 0]))
+        gs.append(g)
+        h = _exact_div(g, k * phi, f"h({n},{k})")
         cols.append(Column(k, phi, h, phi * h))
     return cols
 

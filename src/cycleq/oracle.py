@@ -3,20 +3,26 @@
 Orbits of xi -> sigma * xi and xi -> xi * sigma are exactly the equivalence
 classes, so walking the group counts them with no number theory involved.
 Factorial growth makes this a small-n tool: calls are guarded by a
-configurable bound (default 8; one class walk takes about 0.03 s at n = 9
-and 0.3 s at n = 10: the median of five in-process walks read 0.027-0.039 s
-and 0.25-0.34 s over five sets on a shared 2-vCPU Xeon under Python 3.11.7).
+configurable bound (default 8; one class walk of the shift takes about
+3 ms at n = 8, 0.018 s at n = 9 and 0.13 s at n = 10: medians of five
+in-process sets on a shared 2-vCPU Xeon under Python 3.11.7).
 Right multiplication by the powers of sigma moves xi(1) through every point
 once, so each orbit splits into n-element cosets that each meet the slice
 xi(1) = 1 once. The walk therefore visits only that slice: for each of its
 elements it forms the n slice images sigma^a * xi * sigma^b(a), and the
 class is n times the number of distinct images. A class is counted at its
 lexicographically least member, which lies in the slice, so a slice element
-is dropped at the first image smaller than itself; an image's second entry
-is compared first, and the image is built only when that entry ties. The
-images are the orbit of xi under an action of Z_n on the slice, so they
-number n over the count of shifts a that give xi back: a = 0 and one per
-relation.
+is dropped at the first image smaller than itself. An image's second entry
+is compared first, on a tie its third, and the image is built only when
+both tie. The images are the orbit of xi under an action of Z_n on the
+slice, so they number n over the count of shifts a that give xi back:
+a = 0 and one per relation.
+
+The slice is walked in lexicographic order as cells that each fix the
+prefix x[1..n-5] (0-based) and leave 4! tails; for n <= 5 the whole slice
+is one cell. A shift whose image takes its entries 0 and 1 from the prefix
+is settled once per cell: it rejects the whole cell unwalked, or it leaves
+the cell's shift list, or on a tie it stays for the tails.
 
 The same walk answers every equation sigma^k * xi == xi * sigma^l. A
 representative x that is its own image at a satisfies
@@ -85,6 +91,31 @@ class ClassReport:
     solution_counts: dict = field(default_factory=dict, compare=False)
 
 
+def _cell_shifts(head: tuple, shifts: list, powers: list,
+                 to_zero: list) -> list | None:
+    """The shifts that the tails of the cell with prefix head must test, in
+    order, or None when the cell holds no least member.
+
+    A shift whose image takes its entries 0 and 1 from positions in head
+    compares its second entry with x[1] the same way for every tail: a
+    smaller entry rejects the whole cell, a larger one decides nothing, and
+    only a tie leaves the shift to the tails.
+    """
+    fixed = len(head) - 1
+    cell = []
+    for shift in shifts:
+        _, p0, p1, _, _ = shift
+        if p0 > fixed or p1 > fixed:
+            cell.append(shift)
+            continue
+        y1 = powers[to_zero[head[p0]]][head[p1]]
+        if y1 < head[1]:
+            return None
+        if y1 == head[1]:
+            cell.append(shift)
+    return cell
+
+
 def enumerate_classes(n: int,
                       sigma: Permutation | None = None,
                       bound: int = DEFAULT_BOUND,
@@ -106,47 +137,64 @@ def enumerate_classes(n: int,
     for b, pb in enumerate(powers):
         to_zero[pb.index(0)] = b
 
-    # per shift a: the positions whose images become entries 0 and 1 of the
-    # slice image
-    shifts = [(a, pa[0], pa[1], pa) for a, pa in enumerate(powers[1:], 1)]
+    # per shift a: the positions whose images become entries 0, 1 and 2 of
+    # the slice image (for n <= 2, the last entry stands in for the missing
+    # ones: it is compared twice, which changes no outcome)
+    i1, i2 = min(1, n - 1), min(2, n - 1)
+    shifts = [(a, pa[0], pa[i1], pa[i2], pa)
+              for a, pa in enumerate(powers[1:], 1)]
+    # each cell fixes x[1..fixed] and leaves at most 4! tails
+    fixed = max(n - 5, 0)
     histogram: Counter = Counter()
     solutions: Counter = Counter()
     details = []
     count = 0
-    for tail in itertools.permutations(range(1, n)):
-        x = (0,) + tail
-        x1 = tail[0] if tail else 0
-        # sigma^a * x * sigma^b for the one b that puts it back in the slice;
-        # x is its own image at a = 0, so it is the least image unless
-        # another one is smaller. Every image starts with 0, so its second
-        # entry decides most comparisons before the image is built
-        relations = []
-        for a, p0, p1, pa in shifts:
-            b = to_zero[x[p0]]
-            pb = powers[b]
-            y1 = pb[x[p1]]
-            if y1 < x1:
-                break
-            if y1 > x1:
-                continue
-            y = tuple([pb[x[i]] for i in pa])
-            if y < x:
-                break
-            if y == x:
-                # sigma^a * x == x * sigma^(n-b); b is never 0 here, as
-                # sigma^a * x == x would make sigma^a the identity
-                relations.append((a, n - b))
-        else:
-            # 1 + len(relations) shifts give x back, so x has
-            # n / (1 + len(relations)) distinct images
-            size = n * n // (1 + len(relations))
-            count += 1
-            histogram[size] += 1
-            for relation in relations:
-                solutions[relation] += size
-            if with_classes:
-                rep = Permutation(tuple(v + 1 for v in x))
-                details.append((rep, size, relations[0] if relations else None))
+    for prefix in itertools.permutations(range(1, n), fixed):
+        head = (0,) + prefix
+        cell = _cell_shifts(head, shifts, powers, to_zero)
+        if cell is None:
+            continue
+        rest = [v for v in range(1, n) if v not in prefix]
+        for tail in itertools.permutations(rest):
+            x = head + tail
+            x1, x2 = x[i1], x[i2]
+            # sigma^a * x * sigma^b for the one b that puts it back in the
+            # slice; x is its own image at a = 0, so it is the least image
+            # unless another one is smaller. Every image starts with 0, so
+            # its second and third entries decide most comparisons before
+            # the image is built
+            relations = []
+            for a, p0, p1, p2, pa in cell:
+                b = to_zero[x[p0]]
+                pb = powers[b]
+                y1 = pb[x[p1]]
+                if y1 < x1:
+                    break
+                if y1 > x1:
+                    continue
+                y2 = pb[x[p2]]
+                if y2 < x2:
+                    break
+                if y2 > x2:
+                    continue
+                y = tuple([pb[x[i]] for i in pa])
+                if y < x:
+                    break
+                if y == x:
+                    # sigma^a * x == x * sigma^(n-b); b is never 0 here, as
+                    # sigma^a * x == x would make sigma^a the identity
+                    relations.append((a, n - b))
+            else:
+                # 1 + len(relations) shifts give x back, so x has
+                # n / (1 + len(relations)) distinct images
+                size = n * n // (1 + len(relations))
+                count += 1
+                histogram[size] += 1
+                for relation in relations:
+                    solutions[relation] += size
+                if with_classes:
+                    rep = Permutation(tuple(v + 1 for v in x))
+                    details.append((rep, size, relations[0] if relations else None))
 
     return ClassReport(n, sigma, count, dict(sorted(histogram.items())),
                        tuple(details) if with_classes else None,

@@ -248,6 +248,68 @@ def classes_by_bfs():
     return enumerate_classes_by_bfs
 
 
+def enumerate_classes_by_slice_walk(n: int,
+                                    sigma: Permutation | None = None,
+                                    bound: int = DEFAULT_BOUND,
+                                    with_classes: bool = False) -> ClassReport:
+    """Walk the slice xi(1) = 1 one element at a time, in lexicographic
+    order, testing every shift a on each: the n slice images
+    sigma^a * xi * sigma^b(a) are compared with xi, on their second entry
+    first, and xi is counted at its least member with the relations that
+    give it back. The reference for oracle.enumerate_classes' cells."""
+    _check_bound(n, bound)
+    sigma = _require_cycle(n, sigma)
+
+    sig = tuple(v - 1 for v in sigma.images)
+    powers = [tuple(range(n))]
+    for _ in range(n - 1):
+        powers.append(tuple(sig[v] for v in powers[-1]))
+    to_zero = [0] * n
+    for b, pb in enumerate(powers):
+        to_zero[pb.index(0)] = b
+
+    shifts = [(a, pa[0], pa[1], pa) for a, pa in enumerate(powers[1:], 1)]
+    histogram: Counter = Counter()
+    solutions: Counter = Counter()
+    details = []
+    count = 0
+    for tail in itertools.permutations(range(1, n)):
+        x = (0,) + tail
+        x1 = tail[0] if tail else 0
+        relations = []
+        for a, p0, p1, pa in shifts:
+            b = to_zero[x[p0]]
+            pb = powers[b]
+            y1 = pb[x[p1]]
+            if y1 < x1:
+                break
+            if y1 > x1:
+                continue
+            y = tuple([pb[x[i]] for i in pa])
+            if y < x:
+                break
+            if y == x:
+                relations.append((a, n - b))
+        else:
+            size = n * n // (1 + len(relations))
+            count += 1
+            histogram[size] += 1
+            for relation in relations:
+                solutions[relation] += size
+            if with_classes:
+                rep = Permutation(tuple(v + 1 for v in x))
+                details.append((rep, size, relations[0] if relations else None))
+
+    return ClassReport(n, sigma, count, dict(sorted(histogram.items())),
+                       tuple(details) if with_classes else None,
+                       dict(solutions))
+
+
+@pytest.fixture(scope="session")
+def classes_by_slice_walk():
+    return enumerate_classes_by_slice_walk
+
+
 def count_solutions_by_scan(n: int, k: int, l: int,
                             sigma: Permutation | None = None,
                             bound: int = DEFAULT_BOUND) -> int:

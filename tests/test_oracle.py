@@ -69,6 +69,24 @@ def test_enumerate_classes_matches_bfs_reference(classes_by_bfs):
             assert got == want, (n, sigma)
 
 
+def test_cell_walk_matches_serial_walk(classes_by_slice_walk):
+    # the pruned cells against one serial walk of the slice: the same
+    # report, and the same solution counts, which == does not compare. From
+    # n = 6 on the cells fix n - 5 prefix entries, and some shifts are
+    # decided by the prefix alone
+    for n in range(1, 10):
+        shift = canonical_sigma(n)
+        rng = random.Random(DEFAULT_SEED)
+        sigmas = [shift, inverse(shift)]
+        sigmas += [_random_full_cycle_conjugate(n, shift, rng) for _ in range(3)]
+        for sigma in sigmas:
+            detail = n <= 8
+            got = enumerate_classes(n, sigma, bound=9, with_classes=detail)
+            want = classes_by_slice_walk(n, sigma, bound=9, with_classes=detail)
+            assert got == want, (n, sigma)
+            assert got.solution_counts == want.solution_counts, (n, sigma)
+
+
 def test_solution_counts_examples():
     assert enumerate_classes(4).solution_counts[2, 2] == 8
     assert enumerate_classes(5).solution_counts[1, 2] == 5
