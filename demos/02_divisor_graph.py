@@ -38,7 +38,7 @@ print()
 # Path order: u precedes v when some directed path joins them. The sink
 # <n,n> is reachable from everything else.
 sink = g.vertices[-1]
-reachable = sum(1 for v in g.vertices if v != sink and precedes(g, v, sink))
+reachable = sum(1 for v in g.vertices if v != sink and precedes(n, v, sink))
 print("vertices strictly below the sink:", reachable, "of", len(g.vertices) - 1)
 print()
 
@@ -48,7 +48,7 @@ print()
 print("tau(12, 12, r) for proper divisors r of 12:")
 for r in divisors(n):
     if r < n:
-        print("  r=%-2d -> %d" % (r, tau(g, n, r)))
+        print("  r=%-2d -> %d" % (r, tau(n, n, r)))
 print()
 
 # The DOT export is stable (sorted) so diffs are meaningful.

@@ -38,11 +38,13 @@ commands=(
   "compute 10080"
   "compute 20160"
   "compute 55440 -f json"
+  "compute 221760"
   "matrix 1"
   "matrix 1 -f json"
   "matrix 2520 -f json"
   "matrix 5040 -f json"
   "matrix 10080"
+  "matrix 221760"
   "table 1 1 -f json"
   "table 1 40"
   "table 2 400 -f csv"

@@ -17,9 +17,9 @@ no per-arc format call.
 A directed path of length at least one is the strict order the paper's
 counting recursion sums over. Each arc multiplies both coordinates by a prime, so a
 path from <r,l> ends exactly at the vertices <k, l*(k/r) mod n> with r a
-proper divisor of k; precedes and tau use that arithmetic and never walk the
-graph. The graph itself and its tau are for export and verification;
-counting uses neither.
+proper divisor of k; precedes and tau take n and use that arithmetic, so
+they need no graph. The graph itself and its tau are for export and
+verification; counting uses neither.
 """
 
 from __future__ import annotations
@@ -130,17 +130,17 @@ def _is_vertex(n: int, v: Vertex) -> bool:
             and gcd(l // k, n // k) == 1)
 
 
-def precedes(g: GammaGraph, a: Vertex, b: Vertex) -> bool:
-    """Strict order: a directed path of length >= 1 from a to b exists."""
-    if not _is_vertex(g.n, a):
-        raise ValueError(f"{a} is not a vertex of the graph for n={g.n}")
-    if not _is_vertex(g.n, b):
-        raise ValueError(f"{b} is not a vertex of the graph for n={g.n}")
-    return a.k < b.k and b.k % a.k == 0 and residue(a.l * (b.k // a.k), g.n) == b.l
+def precedes(n: int, a: Vertex, b: Vertex) -> bool:
+    """Strict order mod n: a directed path of length >= 1 runs from a to b."""
+    if not _is_vertex(n, a):
+        raise ValueError(f"{a} is not a vertex of the graph for n={n}")
+    if not _is_vertex(n, b):
+        raise ValueError(f"{b} is not a vertex of the graph for n={n}")
+    return a.k < b.k and b.k % a.k == 0 and residue(a.l * (b.k // a.k), n) == b.l
 
 
-def tau(g: GammaGraph, k: int, r: int) -> int:
-    """Number of vertices with first coordinate r strictly preceding <k,k>.
+def tau(n: int, k: int, r: int) -> int:
+    """Number of vertices <r,l> strictly preceding <k,k> in the graph for n.
 
     That is phi(n/r) / phi(n/k): <r,l> precedes <k,l'> exactly when
     l * (k/r) == l' (mod n). Writing l = r*u and l' = k*v, that says
@@ -148,18 +148,19 @@ def tau(g: GammaGraph, k: int, r: int) -> int:
     n/k, whose fibres all have the same size, so every vertex with first
     coordinate k has the same number of r-predecessors.
     """
-    if k < 1 or g.n % k:
-        raise ValueError(f"k={k} does not divide n={g.n}")
+    if k < 1 or n % k:
+        raise ValueError(f"k={k} does not divide n={n}")
     if not 1 <= r < k or k % r:
         raise ValueError(f"r={r} must be a proper divisor of k={k}")
-    return _exact_div(totient(g.n // r), totient(g.n // k), f"tau({k},{r})")
+    return _exact_div(totient(n // r), totient(n // k), f"tau({k},{r})")
 
 
 def _dot_label(k: int, ls: list[int]) -> tuple:
-    """Row k's node lines, arc-line heads and arc-line tails."""
+    """Row k's node lines, arc-line heads and arc-line tails; row 1 is no
+    arc's target, so it has no tails."""
     return (map(f'    "{k},%d" [label="<{k},%d>"];'.__mod__, zip(ls, ls)),
             list(map(f'    "{k},%d" -> "'.__mod__, ls)),
-            list(map(f'{k},%d";'.__mod__, ls)))
+            list(map(f'{k},%d";'.__mod__, ls)) if k > 1 else [])
 
 
 def export_dot(n: int) -> str:
@@ -174,10 +175,11 @@ def export_dot(n: int) -> str:
 
 
 def _json_label(k: int, ls: list[int]) -> tuple:
-    """Row k's vertex items, arc-item heads and arc-item tails."""
+    """Row k's vertex items, arc-item heads and arc-item tails, as
+    _dot_label makes its lines."""
     return (map(f"[{k}, %d]".__mod__, ls),
             list(map(f"[[{k}, %d], ".__mod__, ls)),
-            list(map(f"[{k}, %d]]".__mod__, ls)))
+            list(map(f"[{k}, %d]]".__mod__, ls)) if k > 1 else [])
 
 
 def export_json(n: int) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import os
 import stat
@@ -229,8 +230,7 @@ def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
 
 def _verify_one(n: int, bound: int, seed: int) -> str | None:
     """None when n checks out, else a short reason."""
-    from .class_graph import build_gamma
-    from .equation_solver import solution_chunks
+    from .equation_solver import check_parameters, solution_chunks
     from .oracle import enumerate_classes, sigma_independence_check
     # the predicted class sizes; their multiplicities sum to |Q_n|
     predicted = predicted_size_histogram(n)
@@ -241,22 +241,21 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
     if report.size_histogram != predicted:
         return (f"size histogram {report.size_histogram} "
                 f"differs from predicted {predicted}")
-    g = build_gamma(n)
-    for v in g.vertices:
-        if v.k == n:
-            continue
-        expected = p_count(n, v.k)
-        got = report.solution_counts.get((v.k, v.l), 0)
+    # every equation solve accepts except (n, n), in ascending (k, l)
+    for k, l in [(k, l) for k in range(1, n) for l in range(1, n)
+                 if check_parameters(n, k, l) is None]:
+        expected = p_count(n, k)
+        got = report.solution_counts.get((k, l), 0)
         if got != expected:
-            return (f"equation (k={v.k}, l={v.l}) has {got} solutions, "
+            return (f"equation (k={k}, l={l}) has {got} solutions, "
                     f"formula says {expected}")
         # every row is checked and the rows are counted as they are made;
         # distinct rows then make the listing exactly the solution set
         rows = set()
-        for block in solution_chunks(n, v.k, v.l):
+        for block in solution_chunks(n, k, l):
             rows.update(block[at:at + n] for at in range(0, len(block), n))
         if len(rows) != expected:
-            return f"enumerator repeated a solution of (k={v.k}, l={v.l})"
+            return f"enumerator repeated a solution of (k={k}, l={l})"
     if not sigma_independence_check(n, seed=seed, bound=bound, base=report):
         return "class structure varied across choices of full cycle"
     return None
@@ -335,7 +334,10 @@ def _write_output(path: str, pieces: Iterable[str]) -> None:
 def _write_stdout(pieces: Iterable[str]) -> None:
     """Write the pieces to stdout, each as it comes, and flush. After a
     failed write (a full device, a reader that quit) fd 1 is pointed at
-    os.devnull, so the flush at exit finds nothing left to fail on."""
+    os.devnull, so the flush at exit finds nothing left to fail on. No
+    stdout at all (fd 1 closed at start) is one that takes nothing."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
     try:
         for piece in pieces:
             sys.stdout.write(piece)
@@ -347,6 +349,13 @@ def _write_stdout(pieces: Iterable[str]) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         raise
+
+
+def _report(message: str) -> None:
+    """Write message to stderr if it takes it; the exit code stands either
+    way, also when stderr is closed or its write fails."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        sys.stderr.write(message + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -364,16 +373,16 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _write_stdout(pieces)
     except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _report(f"error: {e}")
         return EXIT_USAGE
     except (InexactDivision, RuntimeError) as e:
         # a remainder in the recursion, a constructed solution that fails
         # its own equation or a miscounted listing: a bug in cycleq, not in
         # the request
-        print(f"internal error: {e}", file=sys.stderr)
+        _report(f"internal error: {e}")
         return EXIT_INTERNAL
     except OSError as e:  # PATH or stdout not writable
-        print(f"error: {e}", file=sys.stderr)
+        _report(f"error: {e}")
         return EXIT_USAGE
     return code
 

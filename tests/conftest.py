@@ -133,15 +133,14 @@ def tau_by_scan(gamma, reach):
     return count
 
 
-def columns_by_tau(g: GammaGraph) -> list[Column]:
-    """The tally columns by the paper's recursion over the graph g,
+def columns_by_tau(n: int) -> list[Column]:
+    """The tally columns by the paper's recursion over the graph for n,
     k * h(n,k) = (k-1)! * (n/k)**(k-1) - sum of r * tau(k,r) * h(n,r) over
     the proper divisors r of k, with tau from class_graph.tau. The
     reference for counting.count_table."""
-    n = g.n
     h = {}
     for k in divisors(n):
-        lower = sum(r * tau(g, k, r) * h[r] for r in divisors(k)[:-1])
+        lower = sum(r * tau(n, k, r) * h[r] for r in divisors(k)[:-1])
         h[k], rem = divmod(factorial(k - 1) * (n // k) ** (k - 1) - lower, k)
         assert rem == 0, f"h({n},{k}) leaves remainder {rem}"
     phi = {k: totient(n // k) for k in h}

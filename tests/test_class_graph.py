@@ -56,28 +56,27 @@ def test_build_rejects_nonpositive():
 
 def test_precedes_examples():
     g = build_gamma(12)
-    assert precedes(g, Vertex(1, 1), Vertex(12, 12))
-    assert precedes(g, Vertex(1, 1), Vertex(2, 2))
-    assert not precedes(g, Vertex(2, 10), Vertex(4, 4))
-    assert not precedes(g, Vertex(2, 2), Vertex(2, 10))
+    assert precedes(12, Vertex(1, 1), Vertex(12, 12))
+    assert precedes(12, Vertex(1, 1), Vertex(2, 2))
+    assert not precedes(12, Vertex(2, 10), Vertex(4, 4))
+    assert not precedes(12, Vertex(2, 2), Vertex(2, 10))
     # strict order: never reflexive
     for v in g.vertices:
-        assert not precedes(g, v, v)
+        assert not precedes(12, v, v)
 
 
 def test_precedes_rejects_foreign_vertices():
-    g = build_gamma(12)
     with pytest.raises(ValueError):
-        precedes(g, Vertex(5, 5), Vertex(12, 12))
+        precedes(12, Vertex(5, 5), Vertex(12, 12))
     with pytest.raises(ValueError):
-        precedes(g, Vertex(1, 1), Vertex(5, 5))
+        precedes(12, Vertex(1, 1), Vertex(5, 5))
     # k divides n but l does not fit: gcd(2, 6) != 1, l = n below the sink,
     # the sink with l != n, and l = 0
     for foreign in (Vertex(2, 4), Vertex(3, 12), Vertex(12, 5), Vertex(4, 0)):
         with pytest.raises(ValueError):
-            precedes(g, foreign, Vertex(12, 12))
+            precedes(12, foreign, Vertex(12, 12))
         with pytest.raises(ValueError):
-            precedes(g, Vertex(1, 1), foreign)
+            precedes(12, Vertex(1, 1), foreign)
 
 
 def test_precedes_accepts_exactly_the_vertices_up_to_40():
@@ -89,32 +88,30 @@ def test_precedes_accepts_exactly_the_vertices_up_to_40():
             for l in range(-k - 1, n + 2):
                 v = Vertex(k, l)
                 if v in members:
-                    assert precedes(g, v, sink) == (v != sink)
+                    assert precedes(n, v, sink) == (v != sink)
                 else:
                     with pytest.raises(ValueError):
-                        precedes(g, v, sink)
+                        precedes(n, v, sink)
 
 
 def test_tau_examples():
-    g = build_gamma(12)
-    assert tau(g, 2, 1) == 2   # <1,1> and <1,7> feed <2,2>
-    assert tau(g, 6, 1) == 4
-    assert tau(g, 4, 2) == 1
-    assert tau(g, 12, 6) == 1
+    assert tau(12, 2, 1) == 2   # <1,1> and <1,7> feed <2,2>
+    assert tau(12, 6, 1) == 4
+    assert tau(12, 4, 2) == 1
+    assert tau(12, 12, 6) == 1
 
 
 def test_tau_preconditions():
-    g = build_gamma(12)
     with pytest.raises(ValueError):
-        tau(g, 5, 1)     # k must divide n
+        tau(12, 5, 1)     # k must divide n
     with pytest.raises(ValueError):
-        tau(g, 4, 3)     # r must divide k
+        tau(12, 4, 3)     # r must divide k
     with pytest.raises(ValueError):
-        tau(g, 4, 4)     # r must be proper
+        tau(12, 4, 4)     # r must be proper
     with pytest.raises(ValueError):
-        tau(g, 0, 1)     # k must be positive
+        tau(12, 0, 1)     # k must be positive
     with pytest.raises(ValueError):
-        tau(g, 4, 0)     # r must be positive
+        tau(12, 4, 0)     # r must be positive
 
 
 def test_structure_invariants_up_to_200(gamma, reach):
@@ -166,7 +163,7 @@ def test_tau_ignores_anchor_second_coordinate(gamma, reach):
                     sum(1 for u in g.vertices if u.k == r and v in below[u])
                     for v in same_k
                 }
-                assert counts == {tau(g, k, r)}
+                assert counts == {tau(n, k, r)}
 
 
 def test_tau_and_precedes_match_the_graph_up_to_120(gamma, reach, tau_by_scan):
@@ -178,10 +175,10 @@ def test_tau_and_precedes_match_the_graph_up_to_120(gamma, reach, tau_by_scan):
         below = reach(n)
         for k in divisors(n):
             for r in divisors(k)[:-1]:
-                assert tau(g, k, r) == tau_by_scan(n, k, r), (n, k, r)
+                assert tau(n, k, r) == tau_by_scan(n, k, r), (n, k, r)
         for a in g.vertices:
             for b in g.vertices:
-                assert precedes(g, a, b) == (b in below[a]), (n, a, b)
+                assert precedes(n, a, b) == (b in below[a]), (n, a, b)
 
 
 def test_build_and_exports_match_the_closure_reference(gamma_by_closure):

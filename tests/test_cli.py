@@ -250,6 +250,18 @@ def test_graph_builds_no_gamma_graph(capsys, monkeypatch):
     assert len(json.loads(out)["vertices"]) == 60
 
 
+def test_verify_builds_no_gamma_graph(capsys, monkeypatch):
+    # verify walks the pairs check_parameters accepts, never a built
+    # GammaGraph's vertices
+    def refuse(n):
+        raise AssertionError("verify built Gamma_n")
+
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+    monkeypatch.setattr(class_graph, "build_gamma", refuse)
+    assert run(["verify", "2", "8"], capsys) == (
+        0, "".join(f"n={n} PASS\n" for n in range(2, 9)), "")
+
+
 def test_graph_rejects_unknown_format(capsys):
     code, out, err = run(["graph", "12", "-f", "text"], capsys)
     assert code == 2
@@ -733,6 +745,45 @@ def test_stdout_reader_quits():
     proc.stderr.close()
 
 
+@pytest.mark.parametrize("argv", [["compute", "2"], ["solve", "5", "1", "2"],
+                                  ["verify", "2", "3"]])
+def test_stdout_missing(capsys, monkeypatch, argv):
+    # an interpreter started with fd 1 closed has no sys.stdout: that is a
+    # stdout that takes nothing, exit 2 with one error line
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+    monkeypatch.setattr(sys, "stdout", None)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (2, "error: [Errno 9] stdout is closed\n")
+
+
+@pytest.mark.parametrize("stderr", [
+    None, FailingStdout(OSError(errno.EIO, "Input/output error"))])
+def test_stderr_failure_keeps_the_exit_code(capsys, monkeypatch, stderr):
+    # the error line is best-effort: a closed or failing stderr leaves the
+    # documented code, and the line never goes to stdout instead
+    def exploding(n):
+        raise InexactDivision("synthetic division failure")
+
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setattr(cli, "count_table", exploding)
+    assert run(["compute", "0"], capsys)[:2] == (2, "")
+    assert run(["matrix", "12"], capsys)[:2] == (3, "")
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["compute", "2"]) == 2
+
+
+def test_stdout_closed_at_start():
+    # sh closes fd 1 before the interpreter starts
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "cycleq",
+         "compute", "2"], env=env, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: [Errno 9] stdout is closed\n"
+
+
 class CountingSink:
     def __init__(self):
         self.size = 0
@@ -956,6 +1007,9 @@ def test_module_entry_point():
     ("from cycleq.cli import main; main(['solve', '3', '3', '3'])",
      ["cycleq.equation_solver", "cycleq.permutation"],
      ["cycleq.class_graph", "cycleq.oracle"]),
+    ("from cycleq.cli import main; main(['verify', '2', '3'])",
+     ["cycleq.equation_solver", "cycleq.oracle", "cycleq.permutation"],
+     ["cycleq.class_graph"]),
 ])
 def test_a_start_loads_only_what_its_command_runs(code, loaded, absent):
     # -S keeps the site module's own imports out of sys.modules
