@@ -10,8 +10,8 @@ plus exact arithmetic above is the whole point.
 
 from math import factorial
 
-from cycleq.class_graph import build_gamma
 from cycleq.counting import p_count, predicted_size_histogram, q_count
+from cycleq.equation_solver import check_parameters
 from cycleq.oracle import enumerate_classes, sigma_independence_check
 
 # --- class counts and size spectra ------------------------------------------
@@ -28,17 +28,16 @@ print()
 # --- per-family solution counts ----------------------------------------------
 
 n = 6
-g = build_gamma(n)
 counts = enumerate_classes(n).solution_counts
 print("solution counts over n=%d, formula vs one class walk over the %d "
       "permutations with xi(1) = 1:" % (n, factorial(n - 1)))
-for v in g.vertices:
-    if v.k == n:
-        continue
-    brute = counts.get((v.k, v.l), 0)
+# every equation the solver accepts except (n, n), in ascending (k, l)
+for k, l in [(k, l) for k in range(1, n) for l in range(1, n)
+             if check_parameters(n, k, l) is None]:
+    brute = counts.get((k, l), 0)
     print("  (k=%d, l=%d): formula %4d  brute %4d  %s"
-          % (v.k, v.l, p_count(n, v.k), brute,
-             "ok" if brute == p_count(n, v.k) else "MISMATCH"))
+          % (k, l, p_count(n, k), brute,
+             "ok" if brute == p_count(n, k) else "MISMATCH"))
 print()
 
 # --- the choice of full cycle does not matter ---------------------------------

@@ -34,17 +34,20 @@ commands=(
   "graph 5040 -f json"
   "graph 10080 -f json"
   "graph 30030 -f json"
+  "graph 65536 -f json"
   "compute 1 -f json"
   "compute 10080"
   "compute 20160"
   "compute 55440 -f json"
   "compute 221760"
+  "compute 65536"
   "matrix 1"
   "matrix 1 -f json"
   "matrix 2520 -f json"
   "matrix 5040 -f json"
   "matrix 10080"
   "matrix 221760"
+  "matrix 30030"
   "table 1 1 -f json"
   "table 1 40"
   "table 2 400 -f csv"

@@ -18,8 +18,10 @@ A directed path of length at least one is the strict order the paper's
 counting recursion sums over. Each arc multiplies both coordinates by a prime, so a
 path from <r,l> ends exactly at the vertices <k, l*(k/r) mod n> with r a
 proper divisor of k; precedes and tau take n and use that arithmetic, so
-they need no graph. The graph itself and its tau are for export and
-verification; counting uses neither.
+they need no graph. The vertices are exactly the (k, l) pairs that
+equation_solver.check_parameters accepts, and precedes asks it, importing it
+at call time so that loading this module loads no solver. The graph itself
+and its tau are for export and verification; counting uses neither.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
-from math import gcd
 from operator import add
 from typing import NamedTuple
 
@@ -121,21 +122,13 @@ def build_gamma(n: int) -> GammaGraph:
     return GammaGraph(n, tuple(vertices), tuple(arcs))
 
 
-def _is_vertex(n: int, v: Vertex) -> bool:
-    """<k,l> is <n,n>, or k | n, k < n and l = k*u with u a unit mod n/k."""
-    k, l = v
-    if k == n:
-        return l == n
-    return (1 <= k and n % k == 0 and 1 <= l < n and l % k == 0
-            and gcd(l // k, n // k) == 1)
-
-
 def precedes(n: int, a: Vertex, b: Vertex) -> bool:
-    """Strict order mod n: a directed path of length >= 1 runs from a to b."""
-    if not _is_vertex(n, a):
-        raise ValueError(f"{a} is not a vertex of the graph for n={n}")
-    if not _is_vertex(n, b):
-        raise ValueError(f"{b} is not a vertex of the graph for n={n}")
+    """Strict order mod n: a directed path of length >= 1 runs from a to b.
+    Both must be vertices, pairs (k, l) that check_parameters accepts."""
+    from .equation_solver import check_parameters
+    for v in (a, b):
+        if check_parameters(n, *v) is not None:
+            raise ValueError(f"{v} is not a vertex of the graph for n={n}")
     return a.k < b.k and b.k % a.k == 0 and residue(a.l * (b.k // a.k), n) == b.l
 
 

@@ -1,13 +1,14 @@
 """Exact class counting. Everything here is plain Python integers.
 
 For k dividing n, p_count(n, k) = k! * (n/k)**k is the number of solutions
-of the shift equation with left exponent k, h_count(n, k) is the number of
-equivalence classes attached to any single graph vertex with first
-coordinate k, and q_count(n) sums h over the divisors weighted by how many
-vertices carry each divisor. The recursion needs only divisors, totients and
-exact integer arithmetic, never the graph or its tau. Divisions in the
-recursion must come out exact; a remainder means a bug upstream and raises
-InexactDivision rather than rounding anything over.
+of the shift equation with left exponent k; h(n, k), the h of column k of
+count_table(n), is the number of equivalence classes attached to any single
+graph vertex with first coordinate k; and q_count(n) sums h over the
+divisors weighted by how many vertices carry each divisor. The recursion
+needs only divisors, totients and exact integer arithmetic, never the graph
+or its tau. Divisions in the recursion must come out exact; a remainder
+means a bug upstream and raises InexactDivision rather than rounding
+anything over.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial, perm
 
-from .zn_ring import _divisor_totients, _exact_div, divisors, is_prime, to_decimal
+from .zn_ring import _divisor_totients, _exact_div, is_prime, to_decimal
 
 __all__ = [
     "Column",
     "CountTable",
     "NotPrime",
     "count_table",
-    "h_count",
     "p_count",
     "predicted_size_histogram",
     "q_count",
@@ -42,45 +42,6 @@ def p_count(n: int, k: int) -> int:
     if k < 1 or n % k:
         raise ValueError(f"k={k} must be a divisor of n={n}")
     return factorial(k) * (n // k) ** k
-
-
-def _h_values(n: int, ks: list[int]) -> list[Column]:
-    """The column of every k in ks (ascending and closed under divisors).
-
-    With G(k) = k * phi(n/k) * h(n, k), n * G(k) permutations have k as
-    their least left exponent. Summed over r | k these are the
-    phi(n/k) * p(n, k) solutions of the phi(n/k) equations with left
-    exponent k, so G(k) = phi(n/k) * (k-1)! * (n/k)**(k-1) minus the G(r)
-    of the proper divisors r of k: the paper's recursion multiplied through
-    by phi(n/k), which cancels tau(k, r) = phi(n/r) / phi(n/k). The proper
-    divisors of ks[i] are the members of ks[:i] that divide it. (k-1)! is
-    chained in ascending k, each step one math.perm(k-1, k-prev), the
-    product prev * ... * (k-1), which CPython forms as a balanced product
-    in C. Every phi(n/k) is read off one map of the totients of n's
-    divisors, built from one factorization of n.
-    """
-    totients = _divisor_totients(n)
-    gs: list[int] = []
-    cols = []
-    fact, prev = 1, 1
-    for k in ks:
-        fact *= perm(k - 1, k - prev)
-        prev = k
-        phi = totients[n // k]
-        # gs holds G(r) for the members r of ks before k; zip stops there
-        g = (phi * fact * (n // k) ** (k - 1)
-             - sum([gr for r, gr in zip(ks, gs) if k % r == 0]))
-        gs.append(g)
-        h = _exact_div(g, k * phi, f"h({n},{k})")
-        cols.append(Column(k, phi, h, phi * h))
-    return cols
-
-
-def h_count(n: int, k: int) -> int:
-    """Classes attached to one graph vertex with first coordinate k."""
-    if n < 1 or k < 1 or n % k:
-        raise ValueError(f"k={k} must be a divisor of n={n}")
-    return _h_values(n, divisors(k))[-1].h
 
 
 # phi = totient(n/k), the number of vertices with first coordinate k;
@@ -135,10 +96,35 @@ class CountTable(namedtuple("CountTable", "n columns total")):
 
 
 def count_table(n: int) -> CountTable:
-    """The full tally for n: one column per divisor."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    cols = _h_values(n, divisors(n))
+    """The full tally for n: one column per divisor k of n, ascending.
+
+    With G(k) = k * phi(n/k) * h(n, k), n * G(k) permutations have k as
+    their least left exponent. Summed over r | k these are the
+    phi(n/k) * p(n, k) solutions of the phi(n/k) equations with left
+    exponent k, so G(k) = phi(n/k) * (k-1)! * (n/k)**(k-1) minus the G(r)
+    of the proper divisors r of k: the paper's recursion multiplied through
+    by phi(n/k), which cancels tau(k, r) = phi(n/r) / phi(n/k). The proper
+    divisors of k are the divisors of n before it that divide it. (k-1)! is
+    chained in ascending k, each step one math.perm(k-1, k-prev), the
+    product prev * ... * (k-1), which CPython forms as a balanced product
+    in C. Every k and every phi(n/k) is read off one map of the totients of
+    n's divisors, built from one factorization of n.
+    """
+    totients = _divisor_totients(n)
+    ks = sorted(totients)
+    gs: list[int] = []
+    cols = []
+    fact, prev = 1, 1
+    for k in ks:
+        fact *= perm(k - 1, k - prev)
+        prev = k
+        phi = totients[n // k]
+        # gs holds G(r) for the divisors r before k; zip stops there
+        g = (phi * fact * (n // k) ** (k - 1)
+             - sum([gr for r, gr in zip(ks, gs) if k % r == 0]))
+        gs.append(g)
+        h = _exact_div(g, k * phi, f"h({n},{k})")
+        cols.append(Column(k, phi, h, phi * h))
     return CountTable(n, tuple(cols), sum(c.product for c in cols))
 
 

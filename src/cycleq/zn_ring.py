@@ -4,16 +4,16 @@ Everything downstream indexes residues by values in the window {1..n} instead
 of the usual {0..n-1}: exponents of an n-cycle only matter mod n, and writing
 the zero class as n keeps divisors, graph vertices and one-line permutation
 images in the same value range. This module also carries the divisor and
-totient helpers the counting layer needs, the checked exact division that
-counting and the graph's tau both go through, and the decimal rendering
-that every printed count goes through: 4000-digit chunks up to 2**16 bits
-(about 19 700 digits), and past that a split by bit width joined in the C
-decimal module, subquadratic and log2 of the bit length deep.
+totient helpers the counting layer needs (prime_factors is the one trial
+division, and every divisor of n, with its totient, is built from its
+result), the checked exact division that counting and the graph's tau both
+go through, and the decimal rendering that every printed count goes
+through: 4000-digit chunks up to 2**16 bits (about 19 700 digits), and past
+that a split by bit width joined in the C decimal module, subquadratic and
+log2 of the bit length deep.
 """
 
 from __future__ import annotations
-
-from math import isqrt
 
 __all__ = [
     "InexactDivision",
@@ -38,15 +38,7 @@ def residue(x: int, n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All divisors of n in ascending order, 1 and n included."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-    return small + large[::-1]
+    return sorted(_divisor_totients(n))
 
 
 def prime_factors(n: int) -> list[int]:

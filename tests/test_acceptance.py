@@ -13,7 +13,7 @@ from math import factorial, gcd
 import pytest
 
 from cycleq.class_graph import build_gamma
-from cycleq.counting import count_table, h_count, q_count, q_prime, wilson_check
+from cycleq.counting import count_table, q_count, q_prime, wilson_check
 from cycleq.equation_solver import (
     NoSolution,
     check_parameters,
@@ -86,14 +86,15 @@ def test_03_brute_force_matches_formula():
     for n in range(1, 9):
         report = enumerate_classes(n)
         assert report.class_count == q_count(n), n
+        h = {c.k: c.h for c in count_table(n).columns}
         expected_hist = {}
         for k in divisors(n):
             if k < n:
-                mult = h_count(n, k) * totient(n // k)
+                mult = h[k] * totient(n // k)
                 if mult:
                     expected_hist[k * n] = mult
-        if h_count(n, n):
-            expected_hist[n * n] = h_count(n, n)
+        if h[n]:
+            expected_hist[n * n] = h[n]
         assert report.size_histogram == expected_hist, n
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"

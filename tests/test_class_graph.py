@@ -77,6 +77,10 @@ def test_precedes_rejects_foreign_vertices():
             precedes(12, foreign, Vertex(12, 12))
         with pytest.raises(ValueError):
             precedes(12, Vertex(1, 1), foreign)
+    # below n = 1 there is no graph, so not even <n,n> is a vertex
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"is not a vertex of the graph for n={n}"):
+            precedes(n, Vertex(n, n), Vertex(n, n))
 
 
 def test_precedes_accepts_exactly_the_vertices_up_to_40():

@@ -504,13 +504,13 @@ def test_verify_counts_each_n_once(capsys, monkeypatch):
     import cycleq.counting as counting
     monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
     calls = []
-    real = counting._h_values
+    real = counting.count_table
 
-    def recording(n, ks):
+    def recording(n):
         calls.append(n)
-        return real(n, ks)
+        return real(n)
 
-    monkeypatch.setattr(counting, "_h_values", recording)
+    monkeypatch.setattr(counting, "count_table", recording)
     assert run(["verify", "2", "6"], capsys)[0] == 0
     assert calls == [2, 3, 4, 5, 6]
 
@@ -1010,6 +1010,10 @@ def test_module_entry_point():
     ("from cycleq.cli import main; main(['verify', '2', '3'])",
      ["cycleq.equation_solver", "cycleq.oracle", "cycleq.permutation"],
      ["cycleq.class_graph"]),
+    ("from cycleq.cli import main; main(['graph', '12'])",
+     ["cycleq.class_graph"],
+     ["cycleq.equation_solver", "cycleq.permutation", "cycleq.oracle",
+      "decimal", "json"]),
 ])
 def test_a_start_loads_only_what_its_command_runs(code, loaded, absent):
     # -S keeps the site module's own imports out of sys.modules

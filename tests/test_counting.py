@@ -7,7 +7,6 @@ import pytest
 from cycleq.counting import (
     NotPrime,
     count_table,
-    h_count,
     p_count,
     predicted_size_histogram,
     q_count,
@@ -53,24 +52,23 @@ def test_p_count_preconditions():
         p_count(12, 0)
 
 
+def h_row(n):
+    """{k: h(n, k)} for every divisor k of n, off count_table(n)'s columns."""
+    return {c.k: c.h for c in count_table(n).columns}
+
+
 def test_h_base_case():
     for n in (1, 2, 5, 12, 30, 100):
-        assert h_count(n, 1) == 1
+        assert h_row(n)[1] == 1
 
 
 def test_h_row_for_12():
-    values = {k: h_count(12, k) for k in divisors(12)}
-    assert values == {1: 1, 2: 2, 3: 10, 4: 39, 6: 628, 12: 3326054}
+    assert h_row(12) == {1: 1, 2: 2, 3: 10, 4: 39, 6: 628, 12: 3326054}
 
 
 def test_h_12_6_expansion():
     # (5! * 2**5 - (1*4*1 + 2*2*2 + 3*2*10)) / 6 == (3840 - 72) / 6
-    assert h_count(12, 6) == (factorial(5) * 2 ** 5 - 72) // 6 == 628
-
-
-def test_h_preconditions():
-    with pytest.raises(ValueError):
-        h_count(12, 5)
+    assert h_row(12)[6] == (factorial(5) * 2 ** 5 - 72) // 6 == 628
 
 
 def test_count_table_12_is_the_reference_tally():
@@ -117,7 +115,7 @@ def test_vertexwise_balance_up_to_8(gamma, reach):
     # the r*n classes strictly below it account for every solution
     for n in range(2, 9):
         g = gamma(n)
-        h = {k: h_count(n, k) for k in divisors(n)}
+        h = h_row(n)
         for v in g.vertices:
             if v.k == n:
                 continue
@@ -130,7 +128,7 @@ def test_class_count_balance_up_to_60(gamma):
     # all classes of all sizes tile the group exactly
     for n in range(1, 61):
         g = gamma(n)
-        h = {k: h_count(n, k) for k in divisors(n)}
+        h = h_row(n)
         proper = sum(v.k * n * h[v.k] for v in g.vertices if v.k < n)
         assert proper + n * n * h[n] == factorial(n)
 
@@ -227,12 +225,12 @@ def test_inexact_division_is_loud(monkeypatch):
     monkeypatch.setattr(counting, "_divisor_totients",
                         lambda n: {**real(n), 14: 12})
     with pytest.raises(InexactDivision, match=r"h\(14,2\): division by 12 "):
-        counting._h_values(14, [1, 2])
+        counting.count_table(14)
     # phi(7) read as 4 makes G(2) = 4*7 - 6 = 22, and 8 does not divide it
     monkeypatch.setattr(counting, "_divisor_totients",
                         lambda n: {**real(n), 7: 4})
     with pytest.raises(InexactDivision, match=r"h\(14,2\): division by 8 "):
-        counting._h_values(14, [1, 2])
+        counting.count_table(14)
     # the same phi(7) leaves a remainder in tau(2,1) = 6/4 itself
     monkeypatch.setattr(class_graph, "totient",
                         lambda m: 4 if m == 7 else totient(m))
@@ -280,11 +278,11 @@ def test_every_column_matches_moebius_inversion():
     # a second method per column: the class equation and Burnside pin only
     # the total, this pins each h(n, k) on its own
     for n in [*range(1, 301), 720, 5040, 10080, 20160]:
-        assert {c.k: c.h for c in count_table(n).columns} == h_by_moebius(n), n
+        assert h_row(n) == h_by_moebius(n), n
 
 
 def test_count_table_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be positive, got 0"):
         count_table(0)
     with pytest.raises(ValueError):
         q_count(-3)

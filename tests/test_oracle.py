@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from cycleq.class_graph import build_gamma
-from cycleq.counting import h_count, p_count, predicted_size_histogram, q_count
+from cycleq.counting import count_table, p_count, predicted_size_histogram, q_count
 from cycleq.equation_solver import check_parameters
 from cycleq.oracle import (
     DEFAULT_BOUND,
@@ -122,7 +122,7 @@ def test_solution_counts_for_all_pairs_up_to_7(gamma):
     # u*r == k and u*t == l mod n for some u
     for n in range(1, 8):
         g = gamma(n)
-        h = {k: h_count(n, k) for k in divisors(n)}
+        h = {c.k: c.h for c in count_table(n).columns}
         counts = enumerate_classes(n).solution_counts
         for k in range(1, n):
             for l in range(1, n):

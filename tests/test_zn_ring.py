@@ -70,10 +70,12 @@ def test_totient_matches_gcd_count():
 
 def test_divisor_totients_match_totient():
     # built multiplicatively from one factorization of n, keyed by exactly
-    # the divisors of n
+    # the divisors of n (found here by a scan, since divisors reads the
+    # same map)
     for n in range(1, 3001):
         phi = zn._divisor_totients(n)
-        assert phi == {d: totient(d) for d in divisors(n)}, n
+        assert sorted(phi) == [d for d in range(1, n + 1) if n % d == 0], n
+        assert phi == {d: totient(d) for d in phi}, n
 
 
 def test_to_decimal_past_the_int_str_guard():
@@ -155,6 +157,9 @@ def test_divisors_examples():
     assert divisors(1) == [1]
     assert divisors(7) == [1, 7]
     assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+    for n in (0, -4):
+        with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
+            divisors(n)
 
 
 def test_divisors_are_ascending_and_complete():
