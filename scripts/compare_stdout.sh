@@ -41,16 +41,28 @@ commands=(
   "compute 55440 -f json"
   "compute 221760"
   "compute 65536"
+  "compute 1260"
+  "compute 1261"
+  "compute 1261 -f json"
+  "compute 720720"
   "matrix 1"
   "matrix 1 -f json"
+  "matrix 1260"
+  "matrix 1261"
+  "matrix 1261 -f json"
+  "matrix 2520"
   "matrix 2520 -f json"
   "matrix 5040 -f json"
   "matrix 10080"
   "matrix 221760"
   "matrix 30030"
+  "matrix 720720"
   "table 1 1 -f json"
   "table 1 40"
   "table 2 400 -f csv"
+  "table 1250 1270"
+  "table 1250 1270 -f csv"
+  "table 1250 1270 -f json"
   "solve 9 3 3 -f json"
   "solve 9 9 9"
   "solve 9 9 9 -f json"

@@ -26,8 +26,12 @@ from collections.abc import Callable, Iterable, Iterator
 # a command imports what it runs beyond counting and zn_ring itself, so
 # that a start loads only the modules its command uses
 from . import DEFAULT_BOUND, DEFAULT_SEED
-from .counting import count_table, p_count, predicted_size_histogram, q_count
-from .zn_ring import InexactDivision, to_decimal
+from .counting import (
+    _digits,
+    _printable_table,
+    p_count,
+    predicted_size_histogram,
+)
 
 __all__ = ["main"]
 
@@ -120,14 +124,15 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
 
 
 def cmd_compute(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    total = to_decimal(q_count(ns.n))
+    total = _digits(_printable_table(ns.n).total)
     if ns.format == "json":
         return EXIT_OK, [f'{{"n": {ns.n}, "classes": "{total}"}}\n']
     return EXIT_OK, [f"{total}\n"]
 
 
 def cmd_table(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    rows = [(n, to_decimal(q_count(n))) for n in range(ns.n_from, ns.n_to + 1)]
+    rows = [(n, _digits(_printable_table(n).total))
+            for n in range(ns.n_from, ns.n_to + 1)]
     if ns.format == "csv":
         lines = ["n,classes"] + [f"{n},{c}" for n, c in rows]
         return EXIT_OK, ["\n".join(lines) + "\n"]
@@ -142,7 +147,7 @@ def cmd_table(ns: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def cmd_matrix(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    table = count_table(ns.n)
+    table = _printable_table(ns.n)
     if ns.format == "json":
         return EXIT_OK, [table.to_json() + "\n"]
     return EXIT_OK, [table.to_text()]
@@ -375,10 +380,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         _report(f"error: {e}")
         return EXIT_USAGE
-    except (InexactDivision, RuntimeError) as e:
-        # a remainder in the recursion, a constructed solution that fails
-        # its own equation or a miscounted listing: a bug in cycleq, not in
-        # the request
+    except (ArithmeticError, RuntimeError) as e:
+        # a remainder in the recursion (InexactDivision), a rounded Decimal
+        # count, a constructed solution that fails its own equation or a
+        # miscounted listing: a bug in cycleq, not in the request
         _report(f"internal error: {e}")
         return EXIT_INTERNAL
     except OSError as e:  # PATH or stdout not writable

@@ -1,4 +1,4 @@
-"""Exact class counting. Everything here is plain Python integers.
+"""Exact class counting, in exact integer arithmetic throughout.
 
 For k dividing n, p_count(n, k) = k! * (n/k)**k is the number of solutions
 of the shift equation with left exponent k; h(n, k), the h of column k of
@@ -9,6 +9,14 @@ needs only divisors, totients and exact integer arithmetic, never the graph
 or its tau. Divisions in the recursion must come out exact; a remainder
 means a bug upstream and raises InexactDivision rather than rounding
 anything over.
+
+The public functions return Python ints. The counts have Theta(n log n)
+digits, and CPython turns an int into decimal digits in quadratic time, so
+the table the CLI prints (_printable_table) runs the same recursion on
+exact decimal.Decimal integers from n = _DECIMAL_FROM on: libmpdec holds
+them in base 10**19, so printing one is linear, and multiplies large ones
+by a number-theoretic transform. Below that n the CLI counts in ints too,
+and decimal is not imported.
 """
 
 from __future__ import annotations
@@ -16,7 +24,13 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial, perm
 
-from .zn_ring import _divisor_totients, _exact_div, is_prime, to_decimal
+from .zn_ring import (
+    InexactDivision,
+    _divisor_totients,
+    _exact_div,
+    is_prime,
+    to_decimal,
+)
 
 __all__ = [
     "Column",
@@ -59,8 +73,8 @@ class CountTable(namedtuple("CountTable", "n columns total")):
         """The h and product strings of every column. A column with
         phi(n/k) = 1 (k = n and k = n/2, the two largest) has product = h,
         so its count is converted once."""
-        hs = [to_decimal(c.h) for c in self.columns]
-        products = [h if c.phi == 1 else to_decimal(c.product)
+        hs = [_digits(c.h) for c in self.columns]
+        products = [h if c.phi == 1 else _digits(c.product)
                     for c, h in zip(self.columns, hs)]
         return hs, products
 
@@ -68,7 +82,7 @@ class CountTable(namedtuple("CountTable", "n columns total")):
         labels = ("k|n", "phi(n/k)", "h(n,k)", "phi*h")
         rows = [
             [str(c.k) for c in self.columns],
-            [to_decimal(c.phi) for c in self.columns],
+            [str(c.phi) for c in self.columns],
             *self._decimals(),
         ]
         label_w = max(len(s) for s in labels)
@@ -79,7 +93,7 @@ class CountTable(namedtuple("CountTable", "n columns total")):
             "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
             for label, row in zip(labels, rows)
         ]
-        lines.append(f"|Q_{self.n}| = {to_decimal(self.total)}")
+        lines.append(f"|Q_{self.n}| = {_digits(self.total)}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -88,11 +102,11 @@ class CountTable(namedtuple("CountTable", "n columns total")):
         json.dumps writes for it. Counts grow fast, so they travel as
         decimal strings."""
         columns = ", ".join([
-            f'{{"k": {c.k}, "phi": "{to_decimal(c.phi)}", '
+            f'{{"k": {c.k}, "phi": "{c.phi}", '
             f'"h": "{h}", "product": "{product}"}}'
             for c, h, product in zip(self.columns, *self._decimals())])
         return (f'{{"n": {self.n}, "columns": [{columns}], '
-                f'"total": "{to_decimal(self.total)}"}}')
+                f'"total": "{_digits(self.total)}"}}')
 
 
 def count_table(n: int) -> CountTable:
@@ -108,24 +122,81 @@ def count_table(n: int) -> CountTable:
     chained in ascending k, each step one math.perm(k-1, k-prev), the
     product prev * ... * (k-1), which CPython forms as a balanced product
     in C. Every k and every phi(n/k) is read off one map of the totients of
-    n's divisors, built from one factorization of n.
+    n's divisors, built from one factorization of n. The counts are ints.
     """
+    return _tally(n, perm, int)
+
+
+def _tally(n: int, rising, num) -> CountTable:
+    """count_table(n) in one arithmetic: rising(m, j) is the product
+    (m-j+1) * ... * m and num(q) the base q of a power, both as the
+    numbers the recursion runs on."""
     totients = _divisor_totients(n)
     ks = sorted(totients)
-    gs: list[int] = []
+    gs = []
     cols = []
     fact, prev = 1, 1
     for k in ks:
-        fact *= perm(k - 1, k - prev)
+        fact *= rising(k - 1, k - prev)
         prev = k
         phi = totients[n // k]
         # gs holds G(r) for the divisors r before k; zip stops there
-        g = (phi * fact * (n // k) ** (k - 1)
+        g = (phi * fact * num(n // k) ** (k - 1)
              - sum([gr for r, gr in zip(ks, gs) if k % r == 0]))
         gs.append(g)
-        h = _exact_div(g, k * phi, f"h({n},{k})")
+        h, rem = divmod(g, k * phi)
+        if rem:
+            raise InexactDivision(f"h({n},{k}): division by {k * phi} "
+                                  f"leaves remainder {rem}")
         cols.append(Column(k, phi, h, phi * h))
     return CountTable(n, tuple(cols), sum(c.product for c in cols))
+
+
+# From this n on, _printable_table counts in Decimals. Timed in process on
+# a 2-vCPU Xeon under Python 3.11.7 (medians of 25 alternating calls of
+# cli.main), `compute n` in Decimals took 1.26 times as long as in ints at
+# n = 360, 1.14 at 720, 1.00 at 1260 and 0.84-0.99 over 1261..2520, and
+# `matrix n` 0.56-0.63 times over 1261..2520. So the switch is the first n
+# past 1260; every count below it stays an int, and a start that counts
+# only such n skips the 1.3-1.8 ms import of decimal.
+_DECIMAL_FROM = 1261
+# factors per math.perm leaf of a Decimal range product, so that no leaf
+# is an int large enough for Decimal(int), which is quadratic, to cost
+# much; times were flat from 32 to 256 factors
+_PERM_LEAF = 64
+
+
+def _printable_table(n: int) -> CountTable:
+    """count_table(n) as the CLI prints it: below _DECIMAL_FROM the same
+    int table, from it on the same numbers as exact Decimals, each printed
+    by str(). One local context gives them all the precision there is;
+    Inexact and Rounded are trapped, so a rounding raises instead of
+    printing wrong digits. No Decimal is made from a large int: (k-1)! is
+    chained through balanced range products over small math.perm leaves,
+    and each power is Decimal(n // k) ** (k - 1)."""
+    if n < _DECIMAL_FROM:
+        return _tally(n, perm, int)
+    import decimal
+    D = decimal.Decimal
+
+    def rising(m, j):
+        if j <= _PERM_LEAF:
+            return D(perm(m, j))
+        half = j >> 1
+        return rising(m, half) * rising(m - half, j - half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        return _tally(n, rising, D)
+
+
+def _digits(count) -> str:
+    """The decimal digits of a count: str() of a Decimal, to_decimal of an
+    int."""
+    return to_decimal(count) if type(count) is int else str(count)
 
 
 def q_count(n: int) -> int:

@@ -6,11 +6,12 @@ the zero class as n keeps divisors, graph vertices and one-line permutation
 images in the same value range. This module also carries the divisor and
 totient helpers the counting layer needs (prime_factors is the one trial
 division, and every divisor of n, with its totient, is built from its
-result), the checked exact division that counting and the graph's tau both
-go through, and the decimal rendering that every printed count goes
-through: 4000-digit chunks up to 2**16 bits (about 19 700 digits), and past
-that a split by bit width joined in the C decimal module, subquadratic and
-log2 of the bit length deep.
+result), the checked exact division that tau and q_prime go through,
+and the decimal rendering of an int count of any size: 4000-digit chunks up
+to 2**16 bits (about 19 700 digits), and past that a split by bit width
+joined in the C decimal module, subquadratic and log2 of the bit length
+deep. (The CLI counts large n in Decimals, which print without it; see
+counting.)
 """
 
 from __future__ import annotations

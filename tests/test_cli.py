@@ -551,10 +551,59 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     def exploding(n):
         raise InexactDivision("synthetic division failure")
 
-    monkeypatch.setattr(cli, "count_table", exploding)
+    monkeypatch.setattr(cli, "_printable_table", exploding)
     code, out, err = run(["matrix", "12"], capsys)
     assert code == 3
     assert err.startswith("internal error:")
+
+
+def test_a_remainder_past_the_decimal_switch_exits_3(capsys, monkeypatch):
+    # doctor the totients as test_inexact_division_is_loud does: phi(2520)
+    # read as 577 makes G(2) = 288*1260 - 577, which the division by
+    # 2 * phi(1260) = 576 must refuse to round, in Decimals as in ints
+    import cycleq.counting as counting
+    assert counting._DECIMAL_FROM <= 2520
+    real = counting._divisor_totients
+    monkeypatch.setattr(counting, "_divisor_totients",
+                        lambda n: {**real(n), 2520: 577} if n == 2520
+                        else real(n))
+    for argv in (["compute", "2520"], ["matrix", "2520", "-f", "json"],
+                 ["table", "2519", "2520", "-f", "csv"]):
+        assert run(argv, capsys) == (
+            3, "", "internal error: h(2520,2): division by 576 "
+                   "leaves remainder 575\n"), argv
+
+
+def test_a_rounded_decimal_count_exits_3(capsys, monkeypatch):
+    # with 50 digits of precision the first product past them rounds, and
+    # the Rounded and Inexact traps must stop it before a digit is printed
+    import decimal
+    monkeypatch.setattr(decimal, "MAX_PREC", 50)
+    for argv in (["compute", "2520"], ["matrix", "5040"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "1"], ["compute", "12", "-f", "json"], ["compute", "1999"],
+    ["compute", "2520"], ["compute", "2520", "-f", "json"],
+    ["matrix", "1"], ["matrix", "12"], ["matrix", "360", "-f", "json"],
+    ["matrix", "1999"], ["matrix", "2520"], ["matrix", "2520", "-f", "json"],
+    ["table", "1", "60"], ["table", "2", "100", "-f", "csv"],
+    ["table", "1", "40", "-f", "json"], ["table", "1555", "1565"],
+    ["table", "1555", "1565", "-f", "csv"],
+    ["table", "1555", "1565", "-f", "json"],
+])
+def test_decimal_and_int_counts_print_the_same_bytes(capsys, monkeypatch,
+                                                     argv):
+    import cycleq.counting as counting
+    answers = []
+    for switch in (1, 10 ** 9):
+        monkeypatch.setattr(counting, "_DECIMAL_FROM", switch)
+        answers.append(run(argv, capsys))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == 0 and answers[0][2] == ""
 
 
 def corrupt_construction(monkeypatch, index, corrupt):
@@ -764,10 +813,13 @@ def test_stderr_failure_keeps_the_exit_code(capsys, monkeypatch, stderr):
     def exploding(n):
         raise InexactDivision("synthetic division failure")
 
+    real = cli._printable_table
     monkeypatch.setattr(sys, "stderr", stderr)
-    monkeypatch.setattr(cli, "count_table", exploding)
+    monkeypatch.setattr(cli, "_printable_table", exploding)
     assert run(["compute", "0"], capsys)[:2] == (2, "")
     assert run(["matrix", "12"], capsys)[:2] == (3, "")
+    # compute counts through the same table, so the real one comes back
+    monkeypatch.setattr(cli, "_printable_table", real)
     monkeypatch.setattr(sys, "stdout", None)
     assert main(["compute", "2"]) == 2
 
@@ -1014,6 +1066,13 @@ def test_module_entry_point():
      ["cycleq.class_graph"],
      ["cycleq.equation_solver", "cycleq.permutation", "cycleq.oracle",
       "decimal", "json"]),
+    # counts below the Decimal switch stay ints; from it on they are Decimals
+    ("from cycleq.cli import main; main(['compute', '1260'])",
+     ["cycleq.counting", "cycleq.zn_ring"], ["decimal", "json"]),
+    ("from cycleq.cli import main; main(['table', '2', '400'])",
+     ["cycleq.counting", "cycleq.zn_ring"], ["decimal", "json"]),
+    ("from cycleq.cli import main; main(['compute', '2520'])",
+     ["cycleq.counting", "decimal"], ["json"]),
 ])
 def test_a_start_loads_only_what_its_command_runs(code, loaded, absent):
     # -S keeps the site module's own imports out of sys.modules

@@ -1,9 +1,11 @@
 import itertools
 import json
+from decimal import Decimal
 from math import factorial, prod
 
 import pytest
 
+import cycleq.counting as counting
 from cycleq.counting import (
     NotPrime,
     count_table,
@@ -279,6 +281,32 @@ def test_every_column_matches_moebius_inversion():
     # the total, this pins each h(n, k) on its own
     for n in [*range(1, 301), 720, 5040, 10080, 20160]:
         assert h_row(n) == h_by_moebius(n), n
+
+
+def test_the_cli_counts_in_decimals_from_the_switch():
+    switch = counting._DECIMAL_FROM
+    assert type(counting._printable_table(switch - 1).total) is int
+    assert type(counting._printable_table(switch).total) is Decimal
+    assert type(count_table(switch).total) is int
+
+
+def test_decimal_and_int_tables_agree(monkeypatch):
+    # the same recursion in both arithmetics, column by column, compared as
+    # the digits each is printed with; below the switch the Decimal table
+    # is forced
+    switch = counting._DECIMAL_FROM
+    monkeypatch.setattr(counting, "_DECIMAL_FROM", 1)
+    for n in [*range(1, 601), switch - 1, switch, switch + 1,
+              5040, 10080, 20160]:
+        dec, ref = counting._printable_table(n), count_table(n)
+        assert type(dec.total) is Decimal, n
+        assert all(type(c.h) is type(c.product) is Decimal
+                   for c in dec.columns), n
+        assert [(c.k, c.phi, str(c.h), str(c.product))
+                for c in dec.columns] == [
+            (c.k, c.phi, to_decimal(c.h), to_decimal(c.product))
+            for c in ref.columns], n
+        assert str(dec.total) == to_decimal(ref.total), n
 
 
 def test_count_table_rejects_nonpositive():
