@@ -97,6 +97,8 @@ commands=(
   "verify 9 9 --oracle-bound 9"
   "verify 2 9 --oracle-bound 9 --seed 17"
   "verify 10 10 --oracle-bound 10"
+  "verify 2 10 --oracle-bound 10 --seed 3"
+  "verify 11 11 --oracle-bound 11"
 )
 
 # leading NAME=VALUE words go to the environment

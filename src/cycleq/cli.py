@@ -267,14 +267,17 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
 
 
 def cmd_verify(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    from .oracle import BoundExceeded
+    from .oracle import BoundExceeded, _check_bound
+    try:
+        # the whole range is refused before any n is checked
+        for n in range(ns.n_from, ns.n_to + 1):
+            _check_bound(n, ns.oracle_bound)
+    except BoundExceeded as e:
+        raise UsageError(str(e)) from e
     lines = []
     code = EXIT_OK
     for n in range(ns.n_from, ns.n_to + 1):
-        try:
-            problem = _verify_one(n, ns.oracle_bound, ns.seed)
-        except BoundExceeded as e:
-            raise UsageError(str(e)) from e
+        problem = _verify_one(n, ns.oracle_bound, ns.seed)
         if problem is None:
             lines.append(f"n={n} PASS")
         else:

@@ -415,6 +415,35 @@ def test_verify_bound_guard(capsys, monkeypatch):
     assert "exceeds the brute-force bound" in err
 
 
+def test_verify_refuses_past_sixteen_before_any_work(capsys, monkeypatch):
+    # n > 16 is refused whatever the bound, and a range is refused whole
+    # before its first n is checked
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(oracle, "enumerate_classes", no_work)
+    monkeypatch.setattr(cli, "predicted_size_histogram", no_work)
+    for argv in (["verify", "17", "17", "--oracle-bound", "17"],
+                 ["verify", "2", "20", "--oracle-bound", "99"]):
+        assert run(argv, capsys) == (
+            2, "", "error: n=17 exceeds 16, the largest n the brute force "
+            "can walk, whatever the bound\n")
+    code, out, err = run(["verify", "2", "9"], capsys)
+    assert (code, out) == (2, "") and "n=9 exceeds the brute-force bound 8" in err
+
+
+def test_verify_maps_a_broken_conjugation_to_exit_3(capsys, monkeypatch):
+    # the seeded conjugates must be full cycles; one that is not is a bug in
+    # cycleq, reported as an internal error also under python -O
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+    monkeypatch.setattr(oracle, "is_full_cycle", lambda perm: False)
+    code, out, err = run(["verify", "3", "3"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: conjugating a full 3-cycle gave ")
+
+
 def test_verify_env_bound(capsys, monkeypatch):
     monkeypatch.setenv(ENV_ORACLE_BOUND, "6")
     code, out, err = run(["verify", "7", "7"], capsys)

@@ -70,19 +70,22 @@ def test_enumerate_classes_matches_bfs_reference(classes_by_bfs):
 
 
 def test_cell_walk_matches_serial_walk(classes_by_slice_walk):
-    # the pruned cells against one serial walk of the slice: the same
-    # report, and the same solution counts, which == does not compare. From
-    # n = 6 on the cells fix n - 5 prefix entries, and some shifts are
-    # decided by the prefix alone
-    for n in range(1, 10):
+    # the byte-column cells against one serial walk of the slice: the same
+    # report, and the same solution counts, which == does not compare. Up
+    # to n = 7 the whole slice is one cell; n = 8, 9 and 10 each fix one
+    # more prefix entry (x[1..n-7]), and from n = 8 on some shifts are
+    # decided by the prefix alone. n = 10 walks the shift and one conjugate
+    for n in range(1, 11):
         shift = canonical_sigma(n)
         rng = random.Random(DEFAULT_SEED)
         sigmas = [shift, inverse(shift)]
         sigmas += [_random_full_cycle_conjugate(n, shift, rng) for _ in range(3)]
+        if n == 10:
+            sigmas = [shift, sigmas[2]]
         for sigma in sigmas:
             detail = n <= 8
-            got = enumerate_classes(n, sigma, bound=9, with_classes=detail)
-            want = classes_by_slice_walk(n, sigma, bound=9, with_classes=detail)
+            got = enumerate_classes(n, sigma, bound=10, with_classes=detail)
+            want = classes_by_slice_walk(n, sigma, bound=10, with_classes=detail)
             assert got == want, (n, sigma)
             assert got.solution_counts == want.solution_counts, (n, sigma)
 
@@ -196,6 +199,25 @@ def test_bound_guard():
     # raising the bound explicitly unlocks larger n (not exercised at 9
     # here; the guard itself is what matters)
     assert enumerate_classes(5, bound=5).class_count == 8
+
+
+def test_degree_past_sixteen_is_refused_before_any_work(monkeypatch):
+    # the walk packs two entries into a byte, so n > 16 is refused whatever
+    # the bound, before sigma is even looked at
+    import cycleq.oracle as oracle
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(oracle, "_require_cycle", no_work)
+    monkeypatch.setattr(oracle, "canonical_sigma", no_work)
+    for bound in (8, 16, 17, 10**6):
+        with pytest.raises(BoundExceeded, match="n=17 exceeds 16, the largest n"):
+            enumerate_classes(17, bound=bound)
+        with pytest.raises(BoundExceeded, match="n=17 exceeds 16, the largest n"):
+            sigma_independence_check(17, bound=bound)
+    with pytest.raises(BoundExceeded, match="brute-force bound 15"):
+        enumerate_classes(16, bound=15)
 
 
 def test_flood_fill_really_visits_orbits():
