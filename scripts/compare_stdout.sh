@@ -89,6 +89,8 @@ commands=(
   "solve 1 1 1"
   "solve 1 1 1 -f json"
   "solve 8 8 8 -o /dev/stdout"
+  "solve 9 9 9 -o /dev/stdout"
+  "solve 9 9 9 -f json -o /dev/stdout"
   "verify 1 1"
   "verify 2 6"
   "verify 2 7"

@@ -160,9 +160,10 @@ def cmd_graph(ns: argparse.Namespace) -> tuple[int, list[str]]:
     return EXIT_OK, [export_dot(ns.n)]
 
 
-def _row_text(n: int, joiner: str, sep: str,
-              end: str) -> Callable[[bytes | tuple[int, ...]], str]:
-    """A function from a checked block of solution_chunks to the text of its
+def _row_text(n: int, joiner: str, sep: str, end: str
+              ) -> Callable[[bytes | tuple[int, ...], list[bytes] | None], str]:
+    """A function from a checked block and its columns, as
+    equation_solver._checked_blocks hands them out, to the text of its
     rows, each joiner + "[" + the images split by sep + end, as one %
     format of the row's images writes them.
 
@@ -170,13 +171,15 @@ def _row_text(n: int, joiner: str, sep: str,
     bytearray, each image in len(str(n)) slots, the most an image 1..n
     needs, left aligned and padded with NUL: one translate of a column by a
     digit table per column and digit place, written as a stride, fills the
-    slots, and deleting the NUL bytes before the decode gives the rows. For
-    n <= 9 every image fills its one slot, and nothing is deleted. A tuple
-    block (n >= 256) takes the % format.
+    slots, and deleting the NUL bytes before the decode gives the rows. The
+    columns are the n slices block[c::n] the check already made, so the
+    block is not sliced again. For n <= 9 every image fills its one slot,
+    and nothing is deleted. A tuple block (n >= 256), whose columns are
+    None, takes the % format.
     """
     row = joiner + "[" + sep.join(["%s"] * n) + end
     if n > 255:
-        return lambda block: "".join([row] * (len(block) // n)) % block
+        return lambda block, columns: "".join([row] * (len(block) // n)) % block
     width = len(str(n))
     template = bytearray(row.replace("%s", "\0" * width), "ascii")
     stride, first, step = len(template), len(joiner) + 1, width + len(sep)
@@ -184,10 +187,9 @@ def _row_text(n: int, joiner: str, sep: str,
     digits = "".join([str(v).ljust(width, "\0") for v in range(n + 1)]).encode()
     planes = [digits[d::width].ljust(256, b"\0") for d in range(width)]
 
-    def text(block: bytes) -> str:
+    def text(block: bytes, columns: list[bytes]) -> str:
         out = template * (len(block) // n)
-        for c in range(n):
-            column = block[c::n]
+        for c, column in enumerate(columns):
             for at, plane in enumerate(planes, first + c * step):
                 out[at::stride] = column.translate(plane)
         # a piece must not be small: a sink that keeps every piece, a
@@ -204,12 +206,12 @@ def _row_text(n: int, joiner: str, sep: str,
 
 
 def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
-    from .equation_solver import InvalidParameters, solution_chunks
-    chunks = solution_chunks(ns.n, ns.k, ns.l)
-    # an invalid pair, or a failed check of the first chunk, raises here,
+    from .equation_solver import InvalidParameters, _checked_blocks
+    blocks = _checked_blocks(ns.n, ns.k, ns.l)
+    # an invalid pair, or a failed check of the first block, raises here,
     # before the first byte is written
     try:
-        first = next(chunks)
+        first = next(blocks)
     except InvalidParameters as e:
         raise UsageError(f"no solution family: {e}") from e
     count = p_count(ns.n, ns.k)
@@ -225,9 +227,9 @@ def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
         head, tail = f"count={count}\n", ""
 
     def pieces() -> Iterator[str]:
-        yield head + text(first)[len(joiner):]
-        for block in chunks:
-            yield text(block)
+        yield head + text(*first)[len(joiner):]
+        for block, columns in blocks:
+            yield text(block, columns)
         yield tail
 
     return EXIT_OK, pieces()
@@ -235,7 +237,7 @@ def cmd_solve(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
 
 def _verify_one(n: int, bound: int, seed: int) -> str | None:
     """None when n checks out, else a short reason."""
-    from .equation_solver import check_parameters, solution_chunks
+    from .equation_solver import _checked_blocks, _sigma_powers, check_parameters
     from .oracle import enumerate_classes, sigma_independence_check
     # the predicted class sizes; their multiplicities sum to |Q_n|
     predicted = predicted_size_histogram(n)
@@ -246,7 +248,9 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
     if report.size_histogram != predicted:
         return (f"size histogram {report.size_histogram} "
                 f"differs from predicted {predicted}")
-    # every equation solve accepts except (n, n), in ascending (k, l)
+    # every equation solve accepts except (n, n), in ascending (k, l), each
+    # checked against the same powers of sigma
+    powers = _sigma_powers(n)
     for k, l in [(k, l) for k in range(1, n) for l in range(1, n)
                  if check_parameters(n, k, l) is None]:
         expected = p_count(n, k)
@@ -257,7 +261,7 @@ def _verify_one(n: int, bound: int, seed: int) -> str | None:
         # every row is checked and the rows are counted as they are made;
         # distinct rows then make the listing exactly the solution set
         rows = set()
-        for block in solution_chunks(n, k, l):
+        for block, _ in _checked_blocks(n, k, l, powers):
             rows.update(block[at:at + n] for at in range(0, len(block), n))
         if len(rows) != expected:
             return f"enumerator repeated a solution of (k={k}, l={l})"

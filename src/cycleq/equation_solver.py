@@ -13,18 +13,21 @@ them in a fixed lexicographic order as row-major blocks of n images per
 row, each holding about _CHUNK_BYTES image bytes, and each checked as a
 whole before it is handed out: every row must be a bijection of 1..n and,
 for k < n, satisfy the equation on the powers of sigma built by
-permutation.power, which the construction never calls. For n <= 255
-every image fits a byte, and there is no Python object per solution: a
-block is one translate of a template whose rows relabel one solution
-residue class by residue class, it is checked as one bytes object by
-whole-column operations, and the CLI formats it the same way. Once a
-byte block satisfies the equation, its bijection pass reads only one
-anchor column per sigma^k orbit, k columns in place of n. Wider images
-are built as tuples, checked one by one and handed out as one flat tuple
-per block. The rows are counted as they go, and a total other than
-k! * (n/k)**k is an error. `enumerate_solutions` wraps the rows as
-Permutations. Both take the plain numbers n, k, l; check_parameters is
-the one check of the exponents, and it runs when iteration starts.
+permutation.power (or, for all the equations of one n, by _sigma_powers),
+which the construction never calls. For n <= 255 every image fits a byte,
+and there is no Python object per solution: a block is one translate of a
+template whose rows relabel one solution residue class by residue class,
+it is checked as one bytes object by whole-column operations, and the CLI
+formats it the same way, from the same n column slices (_checked_blocks
+hands out each block with them). Once a byte block satisfies the
+equation, its bijection pass reads only one anchor column per sigma^k
+orbit, k columns in place of n, and settles a lone last sigma^l orbit by
+a count. Wider images are built as tuples, checked one by one and handed
+out as one flat tuple per block. The rows are counted as they go, and a
+total other than k! * (n/k)**k is an error. `enumerate_solutions` wraps
+the rows as Permutations. Both take the plain numbers n, k, l;
+check_parameters is the one check of the exponents, and it runs when
+iteration starts.
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ from math import gcd
 from operator import itemgetter
 
 from .counting import p_count
-from .permutation import Permutation, canonical_sigma, cycles, power
+from .permutation import (
+    Permutation,
+    canonical_sigma,
+    compose,
+    cycles,
+    identity,
+    power,
+)
 
 __all__ = [
     "InvalidParameters",
@@ -86,24 +96,45 @@ def block_partition(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 # the points 1..n; sigma^k as 0-based positions and sigma^l indexed by
 # point, so that sigma^k * xi sends i to xi[sig_k0[i - 1]] and xi * sigma^l
 # sends it to sig_l1[xi[i - 1]]; and the bijection pass of a byte block,
-# the 0-based columns it reads and its one-hot planes (see _check_block)
-_Tables = namedtuple("_Tables", "points sig_k0 sig_l1 anchors planes")
+# the 0-based columns it reads, its one-hot planes, the plane of a lone
+# last orbit or None, and the rows each plane's every-bit-set int is for
+# (see _check_block)
+_Tables = namedtuple("_Tables", "points sig_k0 sig_l1 anchors planes lone rows")
 
 
-def _check_tables(n: int, k: int, l: int) -> _Tables:
+def _sigma_powers(n: int) -> list[Permutation]:
+    """sigma^0, ..., sigma^(n-1) of canonical_sigma(n), by n - 1 composes:
+    the powers _check_tables reads, built once for all equations of one n."""
+    sigma = canonical_sigma(n)
+    powers = [identity(n)]
+    for _ in range(n - 1):
+        powers.append(compose(powers[-1], sigma))
+    return powers
+
+
+def _check_tables(n: int, k: int, l: int,
+                  powers: list[Permutation] | None = None) -> _Tables:
     """The _Tables of the equation of n, k and l, for _check_solves,
-    _check_block and _check_tuples, from the powers of canonical_sigma(n).
+    _check_block and _check_tuples, from the powers of canonical_sigma(n):
+    powers[e] is sigma^e when given, else power builds the two it needs.
 
     The anchors are the least position of each sigma^k orbit, and plane q
     sends each point v whose sigma^l orbit has number i, 8q <= i < 8q + 8,
-    to the bit 1 << i - 8q and every other byte to 0, next to the OR of its
-    bits. For k == n both powers are the identity, so the anchors are all
-    n columns and the planes the one-hot code of the points themselves.
+    to the bit 1 << i - 8q and every other byte to 0. Each plane comes with
+    the OR of its bits and the int of that byte repeated over the rows of
+    a listing's first block. A last plane that would hold one orbit is the
+    lone plane instead, with no int. For k == n both powers are the
+    identity, so the anchors are all n columns and the planes the one-hot
+    code of the points themselves.
     """
-    sigma = canonical_sigma(n)
-    sig_k, sig_l = power(sigma, k), power(sigma, l)
-    anchors, planes = [], []
+    if powers is None:
+        sigma = canonical_sigma(n)
+        sig_k, sig_l = power(sigma, k), power(sigma, l)
+    else:
+        sig_k, sig_l = powers[k % n], powers[l % n]
+    anchors, planes, lone, rows = [], [], None, 0
     if n <= 255:  # the images of a byte block
+        rows = min(_chunk_rows(n), p_count(n, k))
         # cycles lists the orbits by least point, each led by that point
         anchors = [orbit[0] - 1 for orbit in cycles(sig_k)]
         orbits = cycles(sig_l)
@@ -112,9 +143,14 @@ def _check_tables(n: int, k: int, l: int) -> _Tables:
             for i, orbit in enumerate(orbits[q:q + 8]):
                 for v in orbit:
                     plane[v] = 1 << i
-            planes.append((bytes(plane), (1 << len(orbits[q:q + 8])) - 1))
+            full = (1 << len(orbits[q:q + 8])) - 1
+            if full == 1:
+                lone = bytes(plane)
+            else:
+                planes.append((bytes(plane), full,
+                               int.from_bytes(bytes((full,)) * rows, "little")))
     return _Tables(set(range(1, n + 1)), tuple([v - 1 for v in sig_k.images]),
-                   (0,) + sig_l.images, tuple(anchors), tuple(planes))
+                   (0,) + sig_l.images, tuple(anchors), tuple(planes), lone, rows)
 
 
 def _check_solves(xi: tuple[int, ...], tables: _Tables, k: int, l: int) -> None:
@@ -265,21 +301,29 @@ def _blocks(n: int, k: int, l: int) -> Iterator[bytes]:
 
 def _rechunked(blocks: Iterable[bytes], n: int) -> Iterator[bytes]:
     """The rows of the blocks, n bytes each, cut again into blocks of
-    _chunk_rows(n) rows; the last may be shorter."""
+    _chunk_rows(n) rows; the last may be shorter. Each byte is copied once,
+    from a view of its block straight into the block it is cut into."""
     size = _chunk_rows(n) * n
-    pending = bytearray()
+    parts, have = [], 0
     for block in blocks:
-        pending += block
-        while len(pending) >= size:
-            yield bytes(pending[:size])
-            del pending[:size]
-    if pending:
-        yield bytes(pending)
+        view, at = memoryview(block), 0
+        while have + len(view) - at >= size:
+            parts.append(view[at:at + size - have])
+            at += size - have
+            yield b"".join(parts)
+            parts, have = [], 0
+        if at < len(view):
+            parts.append(view[at:])
+            have += len(view) - at
+    if parts:
+        yield b"".join(parts)
 
 
-def _check_block(block: bytes, tables: _Tables, k: int, l: int) -> bytes:
+def _check_block(block: bytes, tables: _Tables, k: int, l: int,
+                 columns: list[bytes] | None = None) -> bytes:
     """_check_solves for every row of a row-major bytes block of images,
-    n <= 255 of them per row; returns the block.
+    n <= 255 of them per row; returns the block. columns, when given, are
+    its n column slices block[c::n], which the caller also formats.
 
     The passes work on whole columns, block[c::n], and trust nothing of
     the construction. For k < n the equation pass comes first: n strided
@@ -288,32 +332,47 @@ def _check_block(block: bytes, tables: _Tables, k: int, l: int) -> bytes:
     each anchor column by each one-hot plane of the tables, reads the
     result as an int and ORs them; every bit of the plane must then be set
     in every row's byte. So the anchors of each row hit every orbit of
-    sigma^l, one each, and none holds 0 or a value past n. Under the
-    equation, a position orbit of sigma^k whose anchor holds v in 1..n holds
-    the whole sigma^l orbit of v: a row passes both exactly when it is a
-    bijection of 1..n that solves the equation. That reads k columns of a
-    row instead of n, k^2/8 byte operations instead of n^2/8. For k == n
-    the anchors are all n columns and the orbits the single points, the
-    full one-hot pass. A block that fails a pass, or whose length is not a
-    multiple of n, goes through _check_solves row by row, which names its
-    first bad row.
+    sigma^l, one each, and none holds 0 or a value past n. A last plane
+    with a single orbit is counted instead: the planes before it make each
+    row's anchors hit the other k - 1 orbits, so at most one anchor of a
+    row is left for it, and the hits of that orbit over the anchor columns
+    must equal the row count, one in every row (for k == n the anchors are
+    the whole block and the orbit is the point n, so block.count(n)).
+    Under the equation, a position orbit of sigma^k whose anchor holds v in
+    1..n holds the whole sigma^l orbit of v: a row passes both exactly when
+    it is a bijection of 1..n that solves the equation. That reads k
+    columns of a row instead of n, k^2/8 byte operations instead of n^2/8.
+    For k == n the anchors are all n columns and the orbits the single
+    points, the full one-hot pass. A block that fails a pass, or whose
+    length is not a multiple of n, goes through _check_solves row by row,
+    which names its first bad row.
     """
     n = len(tables.points)
     rows, rest = divmod(len(block), n)
     passes = not rest
-    columns = [block[c::n] for c in range(n)]
+    if columns is None:
+        columns = [block[c::n] for c in range(n)]
     if passes and k < n:
         left = bytearray(len(block))
         for i, j in enumerate(tables.sig_k0):
             left[i::n] = columns[j]
         passes = left == block.translate(bytes(tables.sig_l1).ljust(256, b"\0"))
-    for plane, full in tables.planes:
+    for plane, full, every in tables.planes:
         if not passes:
             break
         seen = 0
         for c in tables.anchors:
             seen |= int.from_bytes(columns[c].translate(plane), "little")
-        passes = seen == int.from_bytes(bytes((full,)) * rows, "little")
+        if rows != tables.rows:
+            every = int.from_bytes(bytes((full,)) * rows, "little")
+        passes = seen == every
+    if passes and tables.lone is not None:
+        if k == n:
+            hits = block.count(n)
+        else:
+            hits = sum([columns[c].translate(tables.lone).count(1)
+                        for c in tables.anchors])
+        passes = hits == rows
     if not passes:
         for at in range(0, len(block), n):
             _check_solves(tuple(block[at:at + n]), tables, k, l)
@@ -327,6 +386,37 @@ def _check_tuples(chunk: list[tuple[int, ...]], tables: _Tables,
     for xi in chunk:
         _check_solves(xi, tables, k, l)
     return tuple(itertools.chain.from_iterable(chunk))
+
+
+def _checked_blocks(n: int, k: int, l: int,
+                    powers: list[Permutation] | None = None
+                    ) -> Iterator[tuple[bytes | tuple[int, ...], list[bytes] | None]]:
+    """The blocks of solution_chunks, each with its n column slices
+    block[c::n] when it is bytes (n <= 255) and None when it is a tuple:
+    the check reads the columns, and a formatter may read them again. The
+    checks' tables come from powers, sigma^e at index e, when given."""
+    reason = check_parameters(n, k, l)
+    if reason is not None:
+        raise InvalidParameters(reason)
+    tables = _check_tables(n, k, l, powers)
+    listed = 0
+    if n <= 255:
+        for block in _rechunked(_blocks(n, k, l), n):
+            columns = [block[c::n] for c in range(n)]
+            _check_block(block, tables, k, l, columns)
+            listed += len(block) // n
+            yield block, columns
+    else:
+        tuples = _constructed(n, k, l)
+        rows = _chunk_rows(n)
+        for chunk in iter(lambda: list(itertools.islice(tuples, rows)), []):
+            block = _check_tuples(chunk, tables, k, l)
+            listed += len(chunk)
+            yield block, None
+    count = p_count(n, k)
+    if listed != count:
+        raise RuntimeError(f"constructed {listed} solutions of "
+                           f"(n={n}, k={k}, l={l}), expected {count}")
 
 
 def solution_chunks(n: int, k: int, l: int) -> Iterator[bytes | tuple[int, ...]]:
@@ -343,27 +433,8 @@ def solution_chunks(n: int, k: int, l: int) -> Iterator[bytes | tuple[int, ...]]
     InvalidParameters, with the failed condition spelled out, when
     iteration starts.
     """
-    reason = check_parameters(n, k, l)
-    if reason is not None:
-        raise InvalidParameters(reason)
-    tables = _check_tables(n, k, l)
-    if n <= 255:
-        chunks = _rechunked(_blocks(n, k, l), n)
-        check = _check_block
-    else:
-        tuples = _constructed(n, k, l)
-        rows = _chunk_rows(n)
-        chunks = iter(lambda: list(itertools.islice(tuples, rows)), [])
-        check = _check_tuples
-    listed = 0
-    for chunk in chunks:
-        block = check(chunk, tables, k, l)
-        listed += len(block) // n
+    for block, _ in _checked_blocks(n, k, l):
         yield block
-    count = p_count(n, k)
-    if listed != count:
-        raise RuntimeError(f"constructed {listed} solutions of "
-                           f"(n={n}, k={k}, l={l}), expected {count}")
 
 
 def enumerate_solutions(n: int, k: int, l: int) -> list[Permutation]:

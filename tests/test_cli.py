@@ -262,6 +262,26 @@ def test_verify_builds_no_gamma_graph(capsys, monkeypatch):
         0, "".join(f"n={n} PASS\n" for n in range(2, 9)), "")
 
 
+def test_verify_builds_the_powers_of_sigma_once_per_n(capsys, monkeypatch):
+    # the listings of one n check against the n - 1 composes that build
+    # sigma^1 .. sigma^(n-1) once, not against power per equation
+    composes, compose = [], es.compose
+
+    def refuse(alpha, e):
+        raise AssertionError("verify called power")
+
+    def counted(alpha, beta):
+        composes.append(alpha.degree)
+        return compose(alpha, beta)
+
+    monkeypatch.delenv(ENV_ORACLE_BOUND, raising=False)
+    monkeypatch.setattr(es, "power", refuse)
+    monkeypatch.setattr(es, "compose", counted)
+    assert run(["verify", "2", "8"], capsys) == (
+        0, "".join(f"n={n} PASS\n" for n in range(2, 9)), "")
+    assert composes == [n for n in range(2, 9) for _ in range(n - 1)]
+
+
 def test_graph_rejects_unknown_format(capsys):
     code, out, err = run(["graph", "12", "-f", "text"], capsys)
     assert code == 2
@@ -359,6 +379,29 @@ def test_solve_golden_digests(capsys, argv, digest, size):
     data = out.encode()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, head, tail", [
+    ("text", "count=362880\n", ""),
+    ("json", '{"n": 9, "k": 9, "l": 9, "count": 362880, "solutions": [', "]}\n"),
+])
+def test_solve_9_9_9_piece_layout(fmt, head, tail):
+    # the pieces a sink keeps (a StringIO keeps them all, and its peak RSS
+    # moves with their size): the head joined to the first block's rows,
+    # one piece per block of _chunk_rows(9) = 14563 rows, 25 blocks with
+    # 13368 rows in the last, then the tail
+    code, pieces = cli.cmd_solve(build_parser().parse_args(["solve", "9", "9", "9", "-f", fmt]))
+    pieces = list(pieces)
+    assert code == 0
+    assert pieces[0].startswith(head) and pieces[-1] == tail
+    body = [pieces[0][len(head):]] + pieces[1:-1]
+    rows = [piece.count("[") for piece in body]
+    assert rows == [14563] * 24 + [13368]
+    for piece in body:
+        if fmt == "text":
+            assert piece.endswith("]\n") and piece.count("\n") == piece.count("[")
+        else:
+            assert piece.startswith("[" if piece is body[0] else ", [") and piece.endswith("]")
 
 
 @pytest.mark.parametrize("argv, digest, size", [

@@ -15,6 +15,7 @@ from cycleq.equation_solver import (
     NoSolution,
     _blocks,
     _check_block,
+    _checked_blocks,
     _check_solves,
     _check_tables,
     _check_tuples,
@@ -22,6 +23,7 @@ from cycleq.equation_solver import (
     _constructed,
     _orbits,
     _rechunked,
+    _sigma_powers,
     block_partition,
     check_parameters,
     enumerate_solutions,
@@ -435,6 +437,77 @@ def test_block_check_rejects_equation_solving_non_bijections(n, k, l):
         with pytest.raises(RuntimeError) as exc:
             _check_block(block[:r * n] + bytes(bad) + block[(r + 1) * n:], tables, k, l)
         assert str(exc.value) == message
+
+
+def lone_orbit_blocks():
+    """(n, k, l, block) with k = 9 sigma^l orbits, so that the last one-hot
+    plane would hold one orbit: every block of (9, 9, 9), and the first
+    block of (18, 9, 9), whose 9! * 2**9 rows are too many to list."""
+    for block in solution_chunks(9, 9, 9):
+        yield 9, 9, 9, block
+    rows = itertools.islice(_constructed(18, 9, 9), _chunk_rows(18))
+    yield 18, 9, 9, bytes(itertools.chain.from_iterable(rows))
+
+
+def test_block_check_counts_a_lone_last_orbit():
+    # the lone orbit (the point 9 at k = n = 9, the points 9 and 18 at
+    # n = 18) is counted, not planed. In one row, the position orbit whose
+    # anchor holds it is replaced by a repeat of another anchor's orbit, by
+    # zeros, or its anchor by n + 1: the block check raises the row check's
+    # message for that row. The first two keep the equation, and the first
+    # pass over the other eight orbits keeps all three at k = n, so without
+    # the count the block would pass
+    seen = []
+    for n, k, l, block in lone_orbit_blocks():
+        tables = _check_tables(n, k, l)
+        assert tables.lone is not None and len(tables.planes) == 1
+        assert sorted(v for v in range(256) if tables.lone[v]) == list(range(9, n + 1, 9))
+        rows = len(block) // n
+        columns = [block[c::n] for c in range(n)]
+        assert _check_block(block, tables, k, l) is block
+        assert _check_block(block, tables, k, l, columns) is block
+        seen.append((n, rows))
+        if n == 9 and len(seen) not in (1, 25):
+            continue  # the first and the last block of 9 9 9 are edited
+        for r in (0, rows // 2, rows - 1):
+            xi = list(block[r * n:(r + 1) * n])
+            c = next(c for c in tables.anchors if tables.lone[xi[c]])
+            other = next(a for a in tables.anchors if a != c)
+            repeat, zero, past_n = list(xi), list(xi), list(xi)
+            repeat[c::k] = xi[other::k]
+            zero[c::k] = [0] * (n // k)
+            past_n[c] = n + 1
+            for bad, uncounted in ((repeat, True), (zero, True), (past_n, k == n)):
+                bad = tuple(bad)
+                message = row_check_message(bad, tables, k, l)
+                assert message == f"constructed [{' '.join(map(str, bad))}] is not a bijection of 1..{n}"
+                edited = block[:r * n] + bytes(bad) + block[(r + 1) * n:]
+                with pytest.raises(RuntimeError) as exc:
+                    _check_block(edited, tables, k, l)
+                assert str(exc.value) == message
+                if uncounted:
+                    assert _check_block(edited, tables._replace(lone=None), k, l) is edited
+    assert seen == [(9, 14563)] * 24 + [(9, 13368), (18, 7281)]
+
+
+def test_sigma_powers_give_the_tables_of_power():
+    # the powers verify builds once per n check what power builds per equation
+    for n in range(1, 13):
+        powers = _sigma_powers(n)
+        assert [p.images for p in powers] == [power(canonical_sigma(n), e).images
+                                              for e in range(n)]
+        for k, l in valid_pairs(n) + [(n, n)]:
+            assert _check_tables(n, k, l, powers) == _check_tables(n, k, l)
+
+
+def test_checked_blocks_hand_out_the_checked_columns():
+    # each block of solution_chunks with its column slices, or None for a
+    # tuple block, and the powers given in place of power's
+    for n, k, l in [(9, 3, 3), (10, 5, 5), (12, 4, 4), (256, 1, 3)]:
+        pairs = list(_checked_blocks(n, k, l, _sigma_powers(n)))
+        assert [block for block, _ in pairs] == list(solution_chunks(n, k, l))
+        for block, columns in pairs:
+            assert columns == ([block[c::n] for c in range(n)] if n <= 255 else None)
 
 
 # valid (n, k, l) with n <= 16 and at most 50 000 solutions, and the least
