@@ -59,7 +59,10 @@ commands=(
   "matrix 720720"
   "table 1 1 -f json"
   "table 1 40"
+  "table 2 400"
   "table 2 400 -f csv"
+  "table 1 1300 -f csv"
+  "table 1261 1263 -f json"
   "table 1250 1270"
   "table 1250 1270 -f csv"
   "table 1250 1270 -f json"

@@ -29,6 +29,7 @@ from . import DEFAULT_BOUND, DEFAULT_SEED
 from .counting import (
     _digits,
     _printable_table,
+    _printable_totals,
     p_count,
     predicted_size_histogram,
 )
@@ -131,8 +132,8 @@ def cmd_compute(ns: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def cmd_table(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    rows = [(n, _digits(_printable_table(n).total))
-            for n in range(ns.n_from, ns.n_to + 1)]
+    rows = [(n, _digits(total)) for n, total in
+            enumerate(_printable_totals(ns.n_from, ns.n_to), ns.n_from)]
     if ns.format == "csv":
         lines = ["n,classes"] + [f"{n},{c}" for n, c in rows]
         return EXIT_OK, ["\n".join(lines) + "\n"]

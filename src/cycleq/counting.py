@@ -10,18 +10,24 @@ or its tau. Divisions in the recursion must come out exact; a remainder
 means a bug upstream and raises InexactDivision rather than rounding
 anything over.
 
+One loop, _tally, runs the recursion for every count; per divisor it
+subtracts the lower G(r) once, as one accumulated sum.
+
 The public functions return Python ints. The counts have Theta(n log n)
 digits, and CPython turns an int into decimal digits in quadratic time, so
 the table the CLI prints (_printable_table) runs the same recursion on
 exact decimal.Decimal integers from n = _DECIMAL_FROM on: libmpdec holds
 them in base 10**19, so printing one is linear, and multiplies large ones
 by a number-theoretic transform. Below that n the CLI counts in ints too,
-and decimal is not imported.
+and decimal is not imported. `table`'s range of n is one pass
+(_printable_totals) that carries (n-1)! from n to n + 1, an int below the
+switch and a Decimal from it on.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from contextlib import nullcontext
 from math import factorial, perm
 
 from .zn_ring import (
@@ -118,41 +124,57 @@ def count_table(n: int) -> CountTable:
     exponent k, so G(k) = phi(n/k) * (k-1)! * (n/k)**(k-1) minus the G(r)
     of the proper divisors r of k: the paper's recursion multiplied through
     by phi(n/k), which cancels tau(k, r) = phi(n/r) / phi(n/k). The proper
-    divisors of k are the divisors of n before it that divide it. (k-1)! is
-    chained in ascending k, each step one math.perm(k-1, k-prev), the
-    product prev * ... * (k-1), which CPython forms as a balanced product
-    in C. Every k and every phi(n/k) is read off one map of the totients of
-    n's divisors, built from one factorization of n. The counts are ints.
+    divisors of k are the divisors of n before it that divide it; their
+    G(r) are added in one accumulator and subtracted from the first term
+    once. (k-1)! is chained in ascending k, each step one
+    math.perm(k-1, k-prev), the product prev * ... * (k-1), which CPython
+    forms as a balanced product in C; a range of n carries (n-1)! from one
+    n to the next instead (_printable_totals). Every k and every phi(n/k)
+    is read off one map of the totients of n's divisors, built from one
+    factorization of n. The counts are ints.
     """
     return _tally(n, perm, int)
 
 
-def _tally(n: int, rising, num) -> CountTable:
+def _tally(n: int, rising, num, top=None) -> CountTable:
     """count_table(n) in one arithmetic: rising(m, j) is the product
     (m-j+1) * ... * m and num(q) the base q of a power, both as the
-    numbers the recursion runs on."""
+    numbers the recursion runs on. top, when given, is (n-1)! in that
+    arithmetic, and column n takes it in place of chaining its own."""
     totients = _divisor_totients(n)
     ks = sorted(totients)
     gs = []
     cols = []
+    total = 0
     fact, prev = 1, 1
     for k in ks:
-        fact *= rising(k - 1, k - prev)
-        prev = k
+        if k < n or top is None:
+            fact *= rising(k - 1, k - prev)
+            prev = k
+        else:
+            fact = top
         phi = totients[n // k]
-        # gs holds G(r) for the divisors r before k; zip stops there
-        g = (phi * fact * num(n // k) ** (k - 1)
-             - sum([gr for r, gr in zip(ks, gs) if k % r == 0]))
+        # gs holds G(r) for the divisors r before k; zip stops there. Those
+        # of the proper divisors of k go into one accumulator, subtracted
+        # once, so the large first term is not copied once per divisor
+        lower = 0
+        for r, gr in zip(ks, gs):
+            if k % r == 0:
+                lower += gr
+        g = phi * num(n // k) ** (k - 1) * fact - lower
         gs.append(g)
         h, rem = divmod(g, k * phi)
         if rem:
             raise InexactDivision(f"h({n},{k}): division by {k * phi} "
                                   f"leaves remainder {rem}")
-        cols.append(Column(k, phi, h, phi * h))
-    return CountTable(n, tuple(cols), sum(c.product for c in cols))
+        product = phi * h
+        # tuple.__new__ skips the named tuple's __new__, a Python call
+        cols.append(tuple.__new__(Column, (k, phi, h, product)))
+        total += product
+    return tuple.__new__(CountTable, (n, tuple(cols), total))
 
 
-# From this n on, _printable_table counts in Decimals. Timed in process on
+# From this n on, the CLI counts in Decimals. Timed in process on
 # a 2-vCPU Xeon under Python 3.11.7 (medians of 25 alternating calls of
 # cli.main), `compute n` in Decimals took 1.26 times as long as in ints at
 # n = 360, 1.14 at 720, 1.00 at 1260 and 0.84-0.99 over 1261..2520, and
@@ -166,16 +188,17 @@ _DECIMAL_FROM = 1261
 _PERM_LEAF = 64
 
 
-def _printable_table(n: int) -> CountTable:
-    """count_table(n) as the CLI prints it: below _DECIMAL_FROM the same
-    int table, from it on the same numbers as exact Decimals, each printed
-    by str(). One local context gives them all the precision there is;
-    Inexact and Rounded are trapped, so a rounding raises instead of
-    printing wrong digits. No Decimal is made from a large int: (k-1)! is
-    chained through balanced range products over small math.perm leaves,
-    and each power is Decimal(n // k) ** (k - 1)."""
+def _arithmetic(n: int):
+    """(rising, num, exact) for _tally(n) as the CLI counts n: below
+    _DECIMAL_FROM perm and int, in no context; from it on the same numbers
+    as exact Decimals, each printed by str(), and exact() the one local
+    context that every Decimal product must be made in. It gives them all
+    the precision there is, and Inexact and Rounded are trapped, so a
+    rounding raises instead of printing wrong digits. No Decimal is made
+    from a large int: rising(m, j) is a balanced range product over small
+    math.perm leaves, and each power is Decimal(n // k) ** (k - 1)."""
     if n < _DECIMAL_FROM:
-        return _tally(n, perm, int)
+        return perm, int, nullcontext
     import decimal
     D = decimal.Decimal
 
@@ -185,12 +208,37 @@ def _printable_table(n: int) -> CountTable:
         half = j >> 1
         return rising(m, half) * rising(m - half, j - half)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-        return _tally(n, rising, D)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    return rising, D, lambda: decimal.localcontext(ctx)
+
+
+def _printable_table(n: int) -> CountTable:
+    """count_table(n) as the CLI prints it: below _DECIMAL_FROM the same
+    int table, from it on the same numbers as exact Decimals (see
+    _arithmetic)."""
+    rising, num, exact = _arithmetic(n)
+    with exact():
+        return _tally(n, rising, num)
+
+
+def _printable_totals(n_from: int, n_to: int):
+    """_printable_table(n).total for n = n_from..n_to in turn, in one pass
+    that carries (n-1)! from n to n + 1: one multiplication by n - 1 per
+    step in place of the range product that chains column n. The carry
+    starts from rising at n_from and again at _DECIMAL_FROM, so no Decimal
+    is made from a large int, and each step, its carry included, runs in
+    its arithmetic's context; each total is yielded outside it."""
+    top = None
+    for n in range(n_from, n_to + 1):
+        if top is None or n == _DECIMAL_FROM:
+            rising, num, exact = _arithmetic(n)
+            top = None
+        with exact():
+            top = rising(n - 1, n - 1) if top is None else top * (n - 1)
+            total = _tally(n, rising, num, top).total
+        yield total
 
 
 def _digits(count) -> str:

@@ -648,10 +648,13 @@ def test_a_remainder_past_the_decimal_switch_exits_3(capsys, monkeypatch):
 
 def test_a_rounded_decimal_count_exits_3(capsys, monkeypatch):
     # with 50 digits of precision the first product past them rounds, and
-    # the Rounded and Inexact traps must stop it before a digit is printed
+    # the Rounded and Inexact traps must stop it before a digit is printed;
+    # in a range that crosses the switch, the first Decimal (n-1)! and its
+    # carry must be made under the same traps
     import decimal
     monkeypatch.setattr(decimal, "MAX_PREC", 50)
-    for argv in (["compute", "2520"], ["matrix", "5040"]):
+    for argv in (["compute", "2520"], ["matrix", "5040"],
+                 ["table", "1259", "1262"]):
         code, out, err = run(argv, capsys)
         assert (code, out) == (3, ""), argv
         assert err.startswith("internal error: ") and err.count("\n") == 1
@@ -666,6 +669,7 @@ def test_a_rounded_decimal_count_exits_3(capsys, monkeypatch):
     ["table", "1", "40", "-f", "json"], ["table", "1555", "1565"],
     ["table", "1555", "1565", "-f", "csv"],
     ["table", "1555", "1565", "-f", "json"],
+    ["table", "1255", "1270", "-f", "csv"],
 ])
 def test_decimal_and_int_counts_print_the_same_bytes(capsys, monkeypatch,
                                                      argv):

@@ -7,6 +7,8 @@ import pytest
 
 import cycleq.counting as counting
 from cycleq.counting import (
+    Column,
+    CountTable,
     NotPrime,
     count_table,
     p_count,
@@ -80,6 +82,12 @@ def test_count_table_12_is_the_reference_tally():
     assert [c.h for c in t.columns] == [1, 2, 10, 39, 628, 3326054]
     assert [c.product for c in t.columns] == [4, 4, 20, 78, 628, 3326054]
     assert t.total == 3326788
+    # the tally builds its tuples without the named tuples' own __new__;
+    # they must still be the named tuples
+    assert type(t) is CountTable and t._fields == ("n", "columns", "total")
+    assert all(type(c) is Column for c in t.columns)
+    assert t.columns[0]._fields == ("k", "phi", "h", "product")
+    assert t.columns[2].product == t.columns[2].phi * t.columns[2].h == 20
 
 
 def test_count_table_7():
@@ -307,6 +315,22 @@ def test_decimal_and_int_tables_agree(monkeypatch):
             (c.k, c.phi, to_decimal(c.h), to_decimal(c.product))
             for c in ref.columns], n
         assert str(dec.total) == to_decimal(ref.total), n
+
+
+@pytest.mark.parametrize("switch", [1, counting._DECIMAL_FROM, 10 ** 9])
+def test_the_range_pass_prints_what_each_table_does(monkeypatch, switch):
+    # the range pass carries (n-1)! from n to n + 1, also from n = 1, across
+    # the switch and from a range that starts on it; each of its totals must
+    # print as the one table for that n does, in the same arithmetic
+    monkeypatch.setattr(counting, "_DECIMAL_FROM", switch)
+    for lo, hi in [(1, 700), (1255, 1270), (1261, 1263), (1, 1),
+                   (2519, 2520)]:
+        totals = list(counting._printable_totals(lo, hi))
+        assert [type(t) for t in totals] == [
+            int if n < switch else Decimal for n in range(lo, hi + 1)]
+        assert [counting._digits(t) for t in totals] == [
+            counting._digits(counting._printable_table(n).total)
+            for n in range(lo, hi + 1)], (lo, hi)
 
 
 def test_count_table_rejects_nonpositive():
