@@ -230,9 +230,8 @@ def _printable_totals(n_from: int, n_to: int):
     starts from rising at n_from and again at _DECIMAL_FROM, so no Decimal
     is made from a large int, and each step, its carry included, runs in
     its arithmetic's context; each total is yielded outside it."""
-    top = None
     for n in range(n_from, n_to + 1):
-        if top is None or n == _DECIMAL_FROM:
+        if n == n_from or n == _DECIMAL_FROM:
             rising, num, exact = _arithmetic(n)
             top = None
         with exact():
