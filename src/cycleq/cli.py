@@ -103,6 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _checked(ns: argparse.Namespace) -> argparse.Namespace:
     """Range-check n, solve's exponents or FROM..TO, reject a -o PATH no
     file can have, and resolve verify's oracle bound."""
+    for name in ("n", "k", "l", "n_from", "n_to"):
+        if not isinstance(getattr(ns, name, 0), int):
+            # argparse of Python 3.11 fills the last positional with []
+            # when a second "--" stands in its place
+            raise UsageError(f"{name} must be an integer, got a second '--'")
     if ns.output is not None and (not ns.output or "\0" in ns.output):
         # the OS refuses an empty path or one with a NUL byte in it
         raise UsageError(f"-o PATH must be a non-empty path with no NUL byte, "

@@ -1065,6 +1065,16 @@ def test_random_argv_exits_with_a_documented_code(capsys, monkeypatch,
     assert "Traceback" not in err, (argv, err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--", "1", "--"], ["table", "1", "--", "--"],
+    ["verify", "--", "1", "--"], ["solve", "--", "3", "1", "--"],
+])
+def test_a_second_double_dash_is_a_usage_error(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parser_builds_once():
     parser = build_parser()
     assert build_parser() is parser
