@@ -129,7 +129,8 @@ def precedes(n: int, a: Vertex, b: Vertex) -> bool:
     for v in (a, b):
         if check_parameters(n, *v) is not None:
             raise ValueError(f"{v} is not a vertex of the graph for n={n}")
-    return a.k < b.k and b.k % a.k == 0 and residue(a.l * (b.k // a.k), n) == b.l
+    (ak, al), (bk, bl) = a, b
+    return ak < bk and bk % ak == 0 and residue(al * (bk // ak), n) == bl
 
 
 def tau(n: int, k: int, r: int) -> int:

@@ -27,7 +27,6 @@ from collections.abc import Callable, Iterable, Iterator
 # that a start loads only the modules its command uses
 from . import DEFAULT_BOUND, DEFAULT_SEED
 from .counting import (
-    _digits,
     _printable_table,
     _printable_totals,
     p_count,
@@ -130,14 +129,14 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
 
 
 def cmd_compute(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    total = _digits(_printable_table(ns.n).total)
+    total = str(_printable_table(ns.n).total)
     if ns.format == "json":
         return EXIT_OK, [f'{{"n": {ns.n}, "classes": "{total}"}}\n']
     return EXIT_OK, [f"{total}\n"]
 
 
 def cmd_table(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    rows = [(n, _digits(total)) for n, total in
+    rows = [(n, str(total)) for n, total in
             enumerate(_printable_totals(ns.n_from, ns.n_to), ns.n_from)]
     if ns.format == "csv":
         lines = ["n,classes"] + [f"{n},{c}" for n, c in rows]

@@ -14,14 +14,16 @@ One loop, _tally, runs the recursion for every count; per divisor it
 subtracts the lower G(r) once, as one accumulated sum.
 
 The public functions return Python ints. The counts have Theta(n log n)
-digits, and CPython turns an int into decimal digits in quadratic time, so
-the table the CLI prints (_printable_table) runs the same recursion on
-exact decimal.Decimal integers from n = _DECIMAL_FROM on: libmpdec holds
-them in base 10**19, so printing one is linear, and multiplies large ones
-by a number-theoretic transform. Below that n the CLI counts in ints too,
-and decimal is not imported. `table`'s range of n is one pass
-(_printable_totals) that carries (n-1)! from n to n + 1, an int below the
-switch and a Decimal from it on.
+digits, and CPython turns an int into decimal digits in quadratic time and
+refuses past 4300 digits (from n = 1561 on), so the table the CLI prints
+(_printable_table) runs the same recursion on exact decimal.Decimal
+integers from n = _DECIMAL_FROM on: libmpdec holds them in base 10**19, so
+printing one is linear, and multiplies large ones by a number-theoretic
+transform. Below that n the CLI counts in ints too, and decimal is not
+imported. `table`'s range of n is one pass (_printable_totals) that
+carries (n-1)! from n to n + 1, an int below the switch and a Decimal from
+it on. Every count is printed with str(); CountTable.to_text and to_json
+print an int table from _DECIMAL_FROM on through that Decimal recount.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ from collections import namedtuple
 from contextlib import nullcontext
 from math import factorial, perm
 
-from .zn_ring import (
-    InexactDivision,
-    _divisor_totients,
-    _exact_div,
-    is_prime,
-    to_decimal,
-)
+from .zn_ring import InexactDivision, _divisor_totients, _exact_div, is_prime
 
 __all__ = [
     "Column",
@@ -71,25 +67,44 @@ Column = namedtuple("Column", "k phi h product")
 
 class CountTable(namedtuple("CountTable", "n columns total")):
     """Per-divisor tally whose grand total is the class count for n: n, the
-    tuple of Columns in ascending k, and the total."""
+    tuple of Columns in ascending k, and the total. to_text and to_json
+    print every count with str(); an int table from _DECIMAL_FROM on, whose
+    counts may pass Python's 4300-digit int/str limit, prints the digits of
+    its Decimal recount."""
 
     __slots__ = ()
 
-    def _decimals(self) -> tuple[list[str], list[str]]:
-        """The h and product strings of every column. A column with
-        phi(n/k) = 1 (k = n and k = n/2, the two largest) has product = h,
-        so its count is converted once."""
-        hs = [_digits(c.h) for c in self.columns]
-        products = [h if c.phi == 1 else _digits(c.product)
-                    for c, h in zip(self.columns, hs)]
-        return hs, products
+    def _printable(self) -> CountTable:
+        """The table whose counts str() prints: an int table from
+        _DECIMAL_FROM on is recounted in Decimals (_printable_table), once
+        it is checked to be count_table(self.n), and so never prints
+        another table's digits; any other table is itself."""
+        if self.n < _DECIMAL_FROM or type(self.total) is not int:
+            return self
+        if self != count_table(self.n):
+            raise ValueError(f"the int table for n={self.n} is not "
+                             f"count_table({self.n}), so it has no recount "
+                             f"to print")
+        return _printable_table(self.n)
+
+    def _decimals(self) -> tuple[list[str], list[str], str]:
+        """The h and product strings of every column, and the total's. A
+        column with phi(n/k) = 1 (k = n and k = n/2, the two largest) has
+        product = h, so its count is converted once."""
+        table = self._printable()
+        hs = [str(c.h) for c in table.columns]
+        products = [h if c.phi == 1 else str(c.product)
+                    for c, h in zip(table.columns, hs)]
+        return hs, products, str(table.total)
 
     def to_text(self) -> str:
         labels = ("k|n", "phi(n/k)", "h(n,k)", "phi*h")
+        hs, products, total = self._decimals()
         rows = [
             [str(c.k) for c in self.columns],
             [str(c.phi) for c in self.columns],
-            *self._decimals(),
+            hs,
+            products,
         ]
         label_w = max(len(s) for s in labels)
         widths = [max(len(rows[r][j]) for r in range(4))
@@ -99,7 +114,7 @@ class CountTable(namedtuple("CountTable", "n columns total")):
             "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
             for label, row in zip(labels, rows)
         ]
-        lines.append(f"|Q_{self.n}| = {_digits(self.total)}")
+        lines.append(f"|Q_{self.n}| = {total}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -107,12 +122,13 @@ class CountTable(namedtuple("CountTable", "n columns total")):
         "product": "..."}, ...], "total": "..."}, byte for byte what
         json.dumps writes for it. Counts grow fast, so they travel as
         decimal strings."""
+        hs, products, total = self._decimals()
         columns = ", ".join([
             f'{{"k": {c.k}, "phi": "{c.phi}", '
             f'"h": "{h}", "product": "{product}"}}'
-            for c, h, product in zip(self.columns, *self._decimals())])
+            for c, h, product in zip(self.columns, hs, products)])
         return (f'{{"n": {self.n}, "columns": [{columns}], '
-                f'"total": "{_digits(self.total)}"}}')
+                f'"total": "{total}"}}')
 
 
 def count_table(n: int) -> CountTable:
@@ -238,12 +254,6 @@ def _printable_totals(n_from: int, n_to: int):
             top = rising(n - 1, n - 1) if top is None else top * (n - 1)
             total = _tally(n, rising, num, top).total
         yield total
-
-
-def _digits(count) -> str:
-    """The decimal digits of a count: str() of a Decimal, to_decimal of an
-    int."""
-    return to_decimal(count) if type(count) is int else str(count)
 
 
 def q_count(n: int) -> int:

@@ -6,12 +6,7 @@ the zero class as n keeps divisors, graph vertices and one-line permutation
 images in the same value range. This module also carries the divisor and
 totient helpers the counting layer needs (prime_factors is the one trial
 division, and every divisor of n, with its totient, is built from its
-result), the checked exact division that tau and q_prime go through,
-and the decimal rendering of an int count of any size: 4000-digit chunks up
-to 2**16 bits (about 19 700 digits), and past that a split by bit width
-joined in the C decimal module, subquadratic and log2 of the bit length
-deep. (The CLI counts large n in Decimals, which print without it; see
-counting.)
+result), and the checked exact division that tau and q_prime go through.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ __all__ = [
     "is_prime",
     "prime_factors",
     "residue",
-    "to_decimal",
     "totient",
 ]
 
@@ -100,68 +94,3 @@ def _exact_div(numerator: int, denominator: int, what: str) -> int:
         raise InexactDivision(
             f"{what}: division by {denominator} leaves remainder {rem}")
     return q
-
-
-# Python refuses str() of an int with more than 4300 digits by default
-# (sys.int_max_str_digits); class counts pass that from n = 1561 on.
-_CHUNK_DIGITS = 4000
-_CHUNK = 10 ** _CHUNK_DIGITS
-# Past 2**16 bits (about 19 700 digits) splitting by bit width and joining
-# in the decimal module beats peeling chunks; below it the chunks win.
-_SPLIT_BITS = 1 << 16
-_LEAF_BITS = 4096
-
-
-def to_decimal(x: int) -> str:
-    """str(x) for an int of any size, past the int/str guard.
-
-    Below _SPLIT_BITS a loop peels 4000-digit chunks off the low end, each
-    under the guard: quadratic, but the cheaper method at that size. Above
-    it, as in CPython 3.12's Lib/_pylong.py, x is split by bit width into
-    hi * 2**w + lo, recursively down to leaves of at most _LEAF_BITS bits,
-    and the halves are joined in the C decimal module (libmpdec), whose
-    multiplication of huge operands is subquadratic; 2**w is computed once
-    per width and call. The recursion is log2 of the bit length deep, and
-    an Inexact trap makes any rounding raise instead of printing wrong
-    digits.
-    """
-    sign, x = ("-", -x) if x < 0 else ("", x)
-    if x.bit_length() > _SPLIT_BITS:
-        return sign + _split_decimal(x)
-    chunks = []
-    while x >= _CHUNK:
-        x, lo = divmod(x, _CHUNK)
-        chunks.append(str(lo).zfill(_CHUNK_DIGITS))
-    chunks.append(sign + str(x))
-    return "".join(reversed(chunks))
-
-
-def _split_decimal(x: int) -> str:
-    """str(x) for x >= 0 through the decimal module; see to_decimal."""
-    import decimal
-
-    D = decimal.Decimal
-    pow2 = {}
-
-    def two_to(w):
-        p = pow2.get(w)
-        if p is None:
-            h = w >> 1
-            p = pow2[w] = (D(2) ** w if w <= _LEAF_BITS
-                           else two_to(h) * two_to(w - h))
-        return p
-
-    def convert(x, w):
-        # x < 2**w
-        if w <= _LEAF_BITS:
-            return D(x)
-        h = w >> 1
-        hi = x >> h
-        return convert(hi, w - h) * two_to(h) + convert(x - (hi << h), h)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
-        return str(convert(x, x.bit_length()))

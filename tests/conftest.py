@@ -1,6 +1,8 @@
 import itertools
 import json
+import sys
 from collections import Counter, deque
+from contextlib import contextmanager
 from math import factorial, gcd
 
 import pytest
@@ -12,6 +14,36 @@ from cycleq.equation_solver import solution_chunks
 from cycleq.oracle import DEFAULT_BOUND, ClassReport, _check_bound
 from cycleq.permutation import Permutation, _require_cycle, canonical_sigma, power
 from cycleq.zn_ring import divisors, prime_factors, residue, totient
+
+
+@contextmanager
+def _guard_lifted():
+    """Python's int/str digit guard lifted, where there is one (3.11+), and
+    put back on exit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def int_str_guard_lifted():
+    """A context manager that lifts the int/str digit guard inside it."""
+    return _guard_lifted
+
+
+@pytest.fixture
+def unguarded_str():
+    """str with the int/str digit guard lifted for the call alone, so that
+    the code under test runs with the guard in force."""
+    def convert(x):
+        with _guard_lifted():
+            return str(x)
+    return convert
 
 
 @pytest.fixture(scope="session")

@@ -60,6 +60,10 @@ def test_precedes_examples():
     assert precedes(12, Vertex(1, 1), Vertex(2, 2))
     assert not precedes(12, Vertex(2, 10), Vertex(4, 4))
     assert not precedes(12, Vertex(2, 2), Vertex(2, 10))
+    # plain (k, l) pairs work as well as Vertex
+    assert precedes(12, (1, 1), (2, 2))
+    assert precedes(12, Vertex(1, 1), (12, 12))
+    assert not precedes(12, (2, 10), (4, 4))
     # strict order: never reflexive
     for v in g.vertices:
         assert not precedes(12, v, v)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from decimal import Decimal
 from math import factorial, prod
 
@@ -23,7 +24,6 @@ from cycleq.zn_ring import (
     divisors,
     is_prime,
     prime_factors,
-    to_decimal,
     totient,
 )
 
@@ -209,19 +209,45 @@ def test_table_json_uses_decimal_strings():
                                   "product": "3326054"}
 
 
-def test_table_json_is_what_json_dumps_writes():
+def test_table_json_is_what_json_dumps_writes(unguarded_str):
+    # at 2520 and 5040 to_json prints the Decimal recount, checked here
+    # against the int table's own digits
     for n in [*range(1, 401), 2520, 5040]:
         table = count_table(n)
         doc = {
             "n": table.n,
             "columns": [
-                {"k": c.k, "phi": to_decimal(c.phi), "h": to_decimal(c.h),
-                 "product": to_decimal(c.product)}
+                {"k": c.k, "phi": unguarded_str(c.phi),
+                 "h": unguarded_str(c.h),
+                 "product": unguarded_str(c.product)}
                 for c in table.columns
             ],
-            "total": to_decimal(table.total),
+            "total": unguarded_str(table.total),
         }
         assert table.to_json() == json.dumps(doc), n
+
+
+def test_a_large_int_table_prints_its_own_digits(unguarded_str):
+    # past 4300 digits (n >= 1561) str() refuses an int under Python's
+    # default guard; to_text must print the same text as the table whose
+    # counts are the int table's digits, made with the guard lifted
+    for n in (1561, 5040, 20160):
+        table = count_table(n)
+        as_digits = CountTable(n, tuple(
+            Column(c.k, c.phi, unguarded_str(c.h), unguarded_str(c.product))
+            for c in table.columns), unguarded_str(table.total))
+        assert table.to_text() == as_digits.to_text(), n
+
+
+def test_an_int_table_that_is_not_the_count_is_not_printed():
+    # from the switch on an int table prints its recount's digits, so one
+    # that count_table did not make raises instead of printing another
+    # table's digits
+    table = count_table(2520)._replace(total=0)
+    with pytest.raises(ValueError, match="n=2520 is not count_table"):
+        table.to_text()
+    with pytest.raises(ValueError, match="n=2520 is not count_table"):
+        table.to_json()
 
 
 def test_inexact_division_is_loud(monkeypatch):
@@ -299,8 +325,8 @@ def test_the_cli_counts_in_decimals_from_the_switch():
 
 
 def test_decimal_and_int_tables_agree(monkeypatch):
-    # the same recursion in both arithmetics, column by column, compared as
-    # the digits each is printed with; below the switch the Decimal table
+    # the same recursion in both arithmetics, column by column, compared
+    # exactly (Decimal == int is exact); below the switch the Decimal table
     # is forced
     switch = counting._DECIMAL_FROM
     monkeypatch.setattr(counting, "_DECIMAL_FROM", 1)
@@ -310,27 +336,40 @@ def test_decimal_and_int_tables_agree(monkeypatch):
         assert type(dec.total) is Decimal, n
         assert all(type(c.h) is type(c.product) is Decimal
                    for c in dec.columns), n
-        assert [(c.k, c.phi, str(c.h), str(c.product))
-                for c in dec.columns] == [
-            (c.k, c.phi, to_decimal(c.h), to_decimal(c.product))
-            for c in ref.columns], n
-        assert str(dec.total) == to_decimal(ref.total), n
+        assert dec == ref, n
 
 
 @pytest.mark.parametrize("switch", [1, counting._DECIMAL_FROM, 10 ** 9])
 def test_the_range_pass_prints_what_each_table_does(monkeypatch, switch):
     # the range pass carries (n-1)! from n to n + 1, also from n = 1, across
     # the switch and from a range that starts on it; each of its totals must
-    # print as the one table for that n does, in the same arithmetic
+    # be the one table's for that n, in the same arithmetic
     monkeypatch.setattr(counting, "_DECIMAL_FROM", switch)
     for lo, hi in [(1, 700), (1255, 1270), (1261, 1263), (1, 1),
                    (2519, 2520)]:
         totals = list(counting._printable_totals(lo, hi))
         assert [type(t) for t in totals] == [
             int if n < switch else Decimal for n in range(lo, hi + 1)]
-        assert [counting._digits(t) for t in totals] == [
-            counting._digits(counting._printable_table(n).total)
-            for n in range(lo, hi + 1)], (lo, hi)
+        assert totals == [counting._printable_table(n).total
+                          for n in range(lo, hi + 1)], (lo, hi)
+
+
+def test_every_int_count_the_cli_prints_fits_the_int_str_guard():
+    # the CLI prints every count with str(), and below the switch its
+    # counts are ints, so each must fit Python's default int/str digit
+    # limit: a switch raised past about 1560 fails here
+    limit = getattr(sys.int_info, "default_max_str_digits", 4300)
+    switch = counting._DECIMAL_FROM
+    table = counting._printable_table(switch - 1)
+    # the range pass's last int total, carried from the one before it
+    *ints, first = counting._printable_totals(switch - 2, switch)
+    assert [type(t) for t in ints] == [int, int]
+    assert type(first) is Decimal
+    counts = [table.total, *ints]
+    for c in table.columns:
+        counts += [c.h, c.product]
+    assert all(type(count) is int for count in counts)
+    assert max(len(str(count)) for count in counts) <= limit
 
 
 def test_count_table_rejects_nonpositive():

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +9,6 @@ from cycleq.zn_ring import (
     is_prime,
     prime_factors,
     residue,
-    to_decimal,
     totient,
 )
 
@@ -76,75 +74,6 @@ def test_divisor_totients_match_totient():
         phi = zn._divisor_totients(n)
         assert sorted(phi) == [d for d in range(1, n + 1) if n % d == 0], n
         assert phi == {d: totient(d) for d in phi}, n
-
-
-def test_to_decimal_past_the_int_str_guard():
-    # inner chunks keep their leading zeros, and chunk boundaries carry over
-    assert to_decimal(0) == "0"
-    assert to_decimal(12345) == "12345"
-    assert to_decimal(10 ** 4000) == "1" + "0" * 4000
-    assert to_decimal(10 ** 4000 - 1) == "9" * 4000
-    assert to_decimal(10 ** 9000 + 7) == "1" + "0" * 8999 + "7"
-    assert to_decimal(-(3 * 10 ** 8000 + 42)) == "-3" + "0" * 7998 + "42"
-
-
-def test_to_decimal_has_no_depth_limit(monkeypatch):
-    # one-digit chunks turn 10**1500 + 12345 into 1501 chunks, more than
-    # the default recursion limit allows a call per chunk
-    monkeypatch.setattr(zn, "_CHUNK_DIGITS", 1)
-    monkeypatch.setattr(zn, "_CHUNK", 10)
-    x = 10 ** 1500 + 12345
-    assert to_decimal(x) == str(x)
-    assert to_decimal(-x) == str(-x)
-
-
-@pytest.fixture
-def unguarded_str():
-    """str with the int/str digit guard lifted where there is one (3.11+)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    yield str
-    if limit is not None:
-        sys.set_int_max_str_digits(limit)
-
-
-def _crossover_sweep():
-    split, leaf = zn._SPLIT_BITS, zn._LEAF_BITS
-    xs = [0, 1, -1]
-    # 10**19729 is the first power of ten past 2**16 bits
-    for k in range(19724, 19734):
-        xs += [10 ** k, 10 ** k - 1, -(10 ** k), 1 - 10 ** k]
-    for w in (split, split + 1, 2 * split, 3 * split + 7):
-        h = w >> 1
-        xs += [
-            (1 << w) - 1,                       # every leaf all ones
-            1 << (w - 1),                       # every bit below the top clear
-            (1 << w) - 1 - ((1 << h) - 1),      # low half all zeros
-            (1 << (w - 1)) | ((1 << h) - 1),    # low half all ones
-            (1 << (w - 1)) | (1 << h),          # hi ends at the split
-            (1 << (w - 1)) | (1 << (h - 1)),    # lo starts at the split
-            (1 << (w - 1)) | leaf,              # a short low leaf
-        ]
-    # low halves whose decimal digits start with zeros
-    for digits in (19720, 19740, 40000):
-        xs += [10 ** digits + 7, 3 * 10 ** digits + 10 ** (digits // 2),
-               (10 ** digits + 1) * 10 ** (digits // 2 + 3)]
-    return xs
-
-
-def test_to_decimal_across_the_split_crossover(unguarded_str):
-    for x in _crossover_sweep():
-        assert to_decimal(x) == unguarded_str(x), x.bit_length()
-
-
-def test_to_decimal_on_class_counts(unguarded_str):
-    # 78 018 and 238 914 digits, both on the decimal-module side
-    from cycleq.counting import q_count
-    for n in (20160, 55440):
-        q = q_count(n)
-        assert q.bit_length() > zn._SPLIT_BITS
-        assert to_decimal(q) == unguarded_str(q), n
 
 
 def test_totient_rejects_nonpositive():
