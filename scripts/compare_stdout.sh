@@ -66,6 +66,10 @@ commands=(
   "table 1250 1270"
   "table 1250 1270 -f csv"
   "table 1250 1270 -f json"
+  "table 1259 1262"
+  "table 1259 1262 -f json"
+  "table 1261 1261 -f csv"
+  "table 2 1261 -f csv"
   "solve 9 3 3 -f json"
   "solve 9 9 9"
   "solve 9 9 9 -f json"

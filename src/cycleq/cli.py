@@ -27,8 +27,7 @@ from collections.abc import Callable, Iterable, Iterator
 # that a start loads only the modules its command uses
 from . import DEFAULT_BOUND, DEFAULT_SEED
 from .counting import (
-    _printable_table,
-    _printable_totals,
+    _printable_tables,
     p_count,
     predicted_size_histogram,
 )
@@ -129,15 +128,15 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
 
 
 def cmd_compute(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    total = str(_printable_table(ns.n).total)
+    total = str(next(_printable_tables(ns.n, ns.n)).total)
     if ns.format == "json":
         return EXIT_OK, [f'{{"n": {ns.n}, "classes": "{total}"}}\n']
     return EXIT_OK, [f"{total}\n"]
 
 
 def cmd_table(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    rows = [(n, str(total)) for n, total in
-            enumerate(_printable_totals(ns.n_from, ns.n_to), ns.n_from)]
+    rows = [(t.n, str(t.total))
+            for t in _printable_tables(ns.n_from, ns.n_to)]
     if ns.format == "csv":
         lines = ["n,classes"] + [f"{n},{c}" for n, c in rows]
         return EXIT_OK, ["\n".join(lines) + "\n"]
@@ -152,7 +151,7 @@ def cmd_table(ns: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def cmd_matrix(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    table = _printable_table(ns.n)
+    table = next(_printable_tables(ns.n, ns.n))
     if ns.format == "json":
         return EXIT_OK, [table.to_json() + "\n"]
     return EXIT_OK, [table.to_text()]

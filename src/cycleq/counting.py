@@ -15,15 +15,15 @@ subtracts the lower G(r) once, as one accumulated sum.
 
 The public functions return Python ints. The counts have Theta(n log n)
 digits, and CPython turns an int into decimal digits in quadratic time and
-refuses past 4300 digits (from n = 1561 on), so the table the CLI prints
-(_printable_table) runs the same recursion on exact decimal.Decimal
-integers from n = _DECIMAL_FROM on: libmpdec holds them in base 10**19, so
+refuses past 4300 digits (from n = 1561 on), so the tables the CLI prints
+run the same recursion on exact decimal.Decimal integers when a request's
+largest n is _DECIMAL_FROM or more: libmpdec holds them in base 10**19, so
 printing one is linear, and multiplies large ones by a number-theoretic
-transform. Below that n the CLI counts in ints too, and decimal is not
-imported. `table`'s range of n is one pass (_printable_totals) that
-carries (n-1)! from n to n + 1, an int below the switch and a Decimal from
-it on. Every count is printed with str(); CountTable.to_text and to_json
-print an int table from _DECIMAL_FROM on through that Decimal recount.
+transform. A request whose largest n is below that counts in ints, and
+decimal is not imported. Each request, one n or a range, is one pass
+(_printable_tables) in one arithmetic that carries (n-1)! from n to n + 1.
+Every count is printed with str(); CountTable.to_text and to_json print an
+int table from _DECIMAL_FROM on through its Decimal recount.
 """
 
 from __future__ import annotations
@@ -70,22 +70,23 @@ class CountTable(namedtuple("CountTable", "n columns total")):
     tuple of Columns in ascending k, and the total. to_text and to_json
     print every count with str(); an int table from _DECIMAL_FROM on, whose
     counts may pass Python's 4300-digit int/str limit, prints the digits of
-    its Decimal recount."""
+    its Decimal recount, the CLI's table for that n."""
 
     __slots__ = ()
 
     def _printable(self) -> CountTable:
         """The table whose counts str() prints: an int table from
-        _DECIMAL_FROM on is recounted in Decimals (_printable_table), once
-        it is checked to be count_table(self.n), and so never prints
-        another table's digits; any other table is itself."""
+        _DECIMAL_FROM on is recounted in Decimals, as the CLI counts the
+        one-n range (_printable_tables), once it is checked to be
+        count_table(self.n), and so never prints another table's digits;
+        any other table is itself."""
         if self.n < _DECIMAL_FROM or type(self.total) is not int:
             return self
         if self != count_table(self.n):
             raise ValueError(f"the int table for n={self.n} is not "
                              f"count_table({self.n}), so it has no recount "
                              f"to print")
-        return _printable_table(self.n)
+        return next(_printable_tables(self.n, self.n))
 
     def _decimals(self) -> tuple[list[str], list[str], str]:
         """The h and product strings of every column, and the total's. A
@@ -144,19 +145,20 @@ def count_table(n: int) -> CountTable:
     G(r) are added in one accumulator and subtracted from the first term
     once. (k-1)! is chained in ascending k, each step one
     math.perm(k-1, k-prev), the product prev * ... * (k-1), which CPython
-    forms as a balanced product in C; a range of n carries (n-1)! from one
-    n to the next instead (_printable_totals). Every k and every phi(n/k)
-    is read off one map of the totients of n's divisors, built from one
-    factorization of n. The counts are ints.
+    forms as a balanced product in C; after the first n of a range, column
+    n takes (n-1)! carried from the n before (_printable_tables). Every k
+    and every phi(n/k) is read off one map of the totients of n's divisors,
+    built from one factorization of n. The counts are ints.
     """
-    return _tally(n, perm, int)
+    return _tally(n, perm, int)[0]
 
 
-def _tally(n: int, rising, num, top=None) -> CountTable:
-    """count_table(n) in one arithmetic: rising(m, j) is the product
-    (m-j+1) * ... * m and num(q) the base q of a power, both as the
+def _tally(n: int, rising, num, top=None):
+    """(count_table(n), (n-1)!) in one arithmetic: rising(m, j) is the
+    product (m-j+1) * ... * m and num(q) the base q of a power, both as the
     numbers the recursion runs on. top, when given, is (n-1)! in that
-    arithmetic, and column n takes it in place of chaining its own."""
+    arithmetic, and column n takes it in place of chaining its own; either
+    way the (n-1)! that column n used is handed back."""
     totients = _divisor_totients(n)
     ks = sorted(totients)
     gs = []
@@ -187,16 +189,17 @@ def _tally(n: int, rising, num, top=None) -> CountTable:
         # tuple.__new__ skips the named tuple's __new__, a Python call
         cols.append(tuple.__new__(Column, (k, phi, h, product)))
         total += product
-    return tuple.__new__(CountTable, (n, tuple(cols), total))
+    return tuple.__new__(CountTable, (n, tuple(cols), total)), fact
 
 
-# From this n on, the CLI counts in Decimals. Timed in process on
-# a 2-vCPU Xeon under Python 3.11.7 (medians of 25 alternating calls of
+# A request whose largest n is this or more counts every n in Decimals;
+# one whose largest n is below it counts in ints. Timed in process on a
+# 2-vCPU Xeon under Python 3.11.7 (medians of 25 alternating calls of
 # cli.main), `compute n` in Decimals took 1.26 times as long as in ints at
 # n = 360, 1.14 at 720, 1.00 at 1260 and 0.84-0.99 over 1261..2520, and
 # `matrix n` 0.56-0.63 times over 1261..2520. So the switch is the first n
-# past 1260; every count below it stays an int, and a start that counts
-# only such n skips the 1.3-1.8 ms import of decimal.
+# past 1260, and a start whose counts all end below it skips the 1.3-1.8 ms
+# import of decimal.
 _DECIMAL_FROM = 1261
 # factors per math.perm leaf of a Decimal range product, so that no leaf
 # is an int large enough for Decimal(int), which is quadratic, to cost
@@ -204,16 +207,17 @@ _DECIMAL_FROM = 1261
 _PERM_LEAF = 64
 
 
-def _arithmetic(n: int):
-    """(rising, num, exact) for _tally(n) as the CLI counts n: below
-    _DECIMAL_FROM perm and int, in no context; from it on the same numbers
-    as exact Decimals, each printed by str(), and exact() the one local
-    context that every Decimal product must be made in. It gives them all
-    the precision there is, and Inexact and Rounded are trapped, so a
-    rounding raises instead of printing wrong digits. No Decimal is made
-    from a large int: rising(m, j) is a balanced range product over small
-    math.perm leaves, and each power is Decimal(n // k) ** (k - 1)."""
-    if n < _DECIMAL_FROM:
+def _arithmetic(n_to: int):
+    """(rising, num, exact) for _tally as the CLI counts a request whose
+    largest n is n_to: below _DECIMAL_FROM perm and int, in no context;
+    from it on the same numbers as exact Decimals, each printed by str(),
+    and exact() the one local context that every Decimal product must be
+    made in. It gives them all the precision there is, and Inexact and
+    Rounded are trapped, so a rounding raises instead of printing wrong
+    digits. No Decimal is made from a large int: rising(m, j) is a
+    balanced range product over small math.perm leaves, and each power is
+    Decimal(n // k) ** (k - 1)."""
+    if n_to < _DECIMAL_FROM:
         return perm, int, nullcontext
     import decimal
     D = decimal.Decimal
@@ -230,30 +234,21 @@ def _arithmetic(n: int):
     return rising, D, lambda: decimal.localcontext(ctx)
 
 
-def _printable_table(n: int) -> CountTable:
-    """count_table(n) as the CLI prints it: below _DECIMAL_FROM the same
-    int table, from it on the same numbers as exact Decimals (see
-    _arithmetic)."""
-    rising, num, exact = _arithmetic(n)
-    with exact():
-        return _tally(n, rising, num)
-
-
-def _printable_totals(n_from: int, n_to: int):
-    """_printable_table(n).total for n = n_from..n_to in turn, in one pass
-    that carries (n-1)! from n to n + 1: one multiplication by n - 1 per
-    step in place of the range product that chains column n. The carry
-    starts from rising at n_from and again at _DECIMAL_FROM, so no Decimal
-    is made from a large int, and each step, its carry included, runs in
-    its arithmetic's context; each total is yielded outside it."""
+def _printable_tables(n_from: int, n_to: int):
+    """count_table(n) for n = n_from..n_to in turn, as the CLI prints it:
+    in the one arithmetic _arithmetic(n_to) picks for the whole request.
+    The first n chains its own (n-1)!; every later n takes the one before
+    times n - 1, one multiplication in place of the range product that
+    chains column n. Each step, its carry included, runs in the
+    arithmetic's context, and each table is yielded outside it."""
+    rising, num, exact = _arithmetic(n_to)
+    top = None
     for n in range(n_from, n_to + 1):
-        if n == n_from or n == _DECIMAL_FROM:
-            rising, num, exact = _arithmetic(n)
-            top = None
         with exact():
-            top = rising(n - 1, n - 1) if top is None else top * (n - 1)
-            total = _tally(n, rising, num, top).total
-        yield total
+            if top is not None:
+                top *= n - 1
+            table, top = _tally(n, rising, num, top)
+        yield table
 
 
 def q_count(n: int) -> int:

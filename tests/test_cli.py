@@ -620,10 +620,10 @@ def test_byte_determinism(capsys, monkeypatch):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    def exploding(n):
+    def exploding(n_from, n_to):
         raise InexactDivision("synthetic division failure")
 
-    monkeypatch.setattr(cli, "_printable_table", exploding)
+    monkeypatch.setattr(cli, "_printable_tables", exploding)
     code, out, err = run(["matrix", "12"], capsys)
     assert code == 3
     assert err.startswith("internal error:")
@@ -892,16 +892,16 @@ def test_stdout_missing(capsys, monkeypatch, argv):
 def test_stderr_failure_keeps_the_exit_code(capsys, monkeypatch, stderr):
     # the error line is best-effort: a closed or failing stderr leaves the
     # documented code, and the line never goes to stdout instead
-    def exploding(n):
+    def exploding(n_from, n_to):
         raise InexactDivision("synthetic division failure")
 
-    real = cli._printable_table
+    real = cli._printable_tables
     monkeypatch.setattr(sys, "stderr", stderr)
-    monkeypatch.setattr(cli, "_printable_table", exploding)
+    monkeypatch.setattr(cli, "_printable_tables", exploding)
     assert run(["compute", "0"], capsys)[:2] == (2, "")
     assert run(["matrix", "12"], capsys)[:2] == (3, "")
     # compute counts through the same table, so the real one comes back
-    monkeypatch.setattr(cli, "_printable_table", real)
+    monkeypatch.setattr(cli, "_printable_tables", real)
     monkeypatch.setattr(sys, "stdout", None)
     assert main(["compute", "2"]) == 2
 
@@ -1163,6 +1163,11 @@ def test_module_entry_point():
      ["cycleq.counting", "cycleq.zn_ring"], ["decimal", "json"]),
     ("from cycleq.cli import main; main(['table', '2', '400'])",
      ["cycleq.counting", "cycleq.zn_ring"], ["decimal", "json"]),
+    ("from cycleq.cli import main; main(['matrix', '1260'])",
+     ["cycleq.counting", "cycleq.zn_ring"], ["decimal", "json"]),
+    # a range counts in the arithmetic of its largest n
+    ("from cycleq.cli import main; main(['table', '1259', '1262'])",
+     ["cycleq.counting", "decimal"], ["json"]),
     ("from cycleq.cli import main; main(['compute', '2520'])",
      ["cycleq.counting", "decimal"], ["json"]),
 ])

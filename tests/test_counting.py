@@ -317,10 +317,15 @@ def test_every_column_matches_moebius_inversion():
         assert h_row(n) == h_by_moebius(n), n
 
 
+def one_table(n):
+    """The CLI's table for n alone, the one-element range."""
+    return next(counting._printable_tables(n, n))
+
+
 def test_the_cli_counts_in_decimals_from_the_switch():
     switch = counting._DECIMAL_FROM
-    assert type(counting._printable_table(switch - 1).total) is int
-    assert type(counting._printable_table(switch).total) is Decimal
+    assert type(one_table(switch - 1).total) is int
+    assert type(one_table(switch).total) is Decimal
     assert type(count_table(switch).total) is int
 
 
@@ -332,7 +337,7 @@ def test_decimal_and_int_tables_agree(monkeypatch):
     monkeypatch.setattr(counting, "_DECIMAL_FROM", 1)
     for n in [*range(1, 601), switch - 1, switch, switch + 1,
               5040, 10080, 20160]:
-        dec, ref = counting._printable_table(n), count_table(n)
+        dec, ref = one_table(n), count_table(n)
         assert type(dec.total) is Decimal, n
         assert all(type(c.h) is type(c.product) is Decimal
                    for c in dec.columns), n
@@ -342,30 +347,44 @@ def test_decimal_and_int_tables_agree(monkeypatch):
 @pytest.mark.parametrize("switch", [1, counting._DECIMAL_FROM, 10 ** 9])
 def test_the_range_pass_prints_what_each_table_does(monkeypatch, switch):
     # the range pass carries (n-1)! from n to n + 1, also from n = 1, across
-    # the switch and from a range that starts on it; each of its totals must
-    # be the one table's for that n, in the same arithmetic
+    # the switch and from a range that starts on it; each of its tables
+    # must be the one-n table for that n, exactly (Decimal == int is
+    # exact), in the arithmetic of the range's largest n
     monkeypatch.setattr(counting, "_DECIMAL_FROM", switch)
     for lo, hi in [(1, 700), (1255, 1270), (1261, 1263), (1, 1),
                    (2519, 2520)]:
-        totals = list(counting._printable_totals(lo, hi))
-        assert [type(t) for t in totals] == [
-            int if n < switch else Decimal for n in range(lo, hi + 1)]
-        assert totals == [counting._printable_table(n).total
-                          for n in range(lo, hi + 1)], (lo, hi)
+        tables = list(counting._printable_tables(lo, hi))
+        assert [t.n for t in tables] == list(range(lo, hi + 1))
+        assert {type(t.total) for t in tables} == {
+            int if hi < switch else Decimal}
+        assert tables == [one_table(n) for n in range(lo, hi + 1)], (lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(1259, 1262), (1261, 1261), (1, 1),
+                                    (2, 400)])
+def test_a_request_counts_in_one_arithmetic(lo, hi):
+    # the arithmetic is picked once per request, by its largest n: every
+    # count of a range that ends at the switch or past it is a Decimal,
+    # its low n included, and every count of one that ends below is an int
+    kind = Decimal if hi >= counting._DECIMAL_FROM else int
+    tables = list(counting._printable_tables(lo, hi))
+    assert [t.n for t in tables] == list(range(lo, hi + 1))
+    for t in tables:
+        counts = [t.total] + [x for c in t.columns for x in (c.h, c.product)]
+        assert {type(x) for x in counts} == {kind}, t.n
+        assert t == count_table(t.n), t.n
 
 
 def test_every_int_count_the_cli_prints_fits_the_int_str_guard():
-    # the CLI prints every count with str(), and below the switch its
-    # counts are ints, so each must fit Python's default int/str digit
-    # limit: a switch raised past about 1560 fails here
+    # the CLI prints every count with str(), and a request whose largest n
+    # is below the switch counts in ints, so each must fit Python's default
+    # int/str digit limit: a switch raised past about 1560 fails here
     limit = getattr(sys.int_info, "default_max_str_digits", 4300)
     switch = counting._DECIMAL_FROM
-    table = counting._printable_table(switch - 1)
-    # the range pass's last int total, carried from the one before it
-    *ints, first = counting._printable_totals(switch - 2, switch)
-    assert [type(t) for t in ints] == [int, int]
-    assert type(first) is Decimal
-    counts = [table.total, *ints]
+    # the largest ints the CLI makes, the last table of a range carried up
+    # to the switch
+    *_, table = counting._printable_tables(switch - 3, switch - 1)
+    counts = [table.total]
     for c in table.columns:
         counts += [c.h, c.product]
     assert all(type(count) is int for count in counts)
