@@ -35,6 +35,8 @@ commands=(
   "graph 10080 -f json"
   "graph 30030 -f json"
   "graph 65536 -f json"
+  "graph 55440"
+  "graph 55440 -f json"
   "compute 1 -f json"
   "compute 10080"
   "compute 20160"
@@ -70,6 +72,9 @@ commands=(
   "table 1259 1262 -f json"
   "table 1261 1261 -f csv"
   "table 2 1261 -f csv"
+  "table 300 400"
+  "table 37 120 -f json"
+  "table 1250 1300 -f csv"
   "solve 9 3 3 -f json"
   "solve 9 9 9"
   "solve 9 9 9 -f json"

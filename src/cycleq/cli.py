@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import itertools
 import os
 import stat
 import sys
@@ -157,11 +158,12 @@ def cmd_matrix(ns: argparse.Namespace) -> tuple[int, list[str]]:
     return EXIT_OK, [table.to_text()]
 
 
-def cmd_graph(ns: argparse.Namespace) -> tuple[int, list[str]]:
-    from .class_graph import export_dot, export_json
+def cmd_graph(ns: argparse.Namespace) -> tuple[int, Iterator[str]]:
+    from .class_graph import _pieces
+    pieces = _pieces(ns.n, ns.format)
     if ns.format == "json":
-        return EXIT_OK, [export_json(ns.n), "\n"]
-    return EXIT_OK, [export_dot(ns.n)]
+        return EXIT_OK, itertools.chain(pieces, ["\n"])
+    return EXIT_OK, pieces
 
 
 def _row_text(n: int, joiner: str, sep: str, end: str

@@ -11,7 +11,10 @@ means a bug upstream and raises InexactDivision rather than rounding
 anything over.
 
 One loop, _tally, runs the recursion for every count; per divisor it
-subtracts the lower G(r) once, as one accumulated sum.
+subtracts the lower G(r) once, as one accumulated sum. One pass, _tables,
+feeds it every n of a request, one n or a range: it reads each n's divisors
+and their totients once, and makes every (k-1)! the request uses once, in
+one ascending chain, so neighbouring n share their factorials.
 
 The public functions return Python ints. The counts have Theta(n log n)
 digits, and CPython turns an int into decimal digits in quadratic time and
@@ -20,8 +23,8 @@ run the same recursion on exact decimal.Decimal integers when a request's
 largest n is _DECIMAL_FROM or more: libmpdec holds them in base 10**19, so
 printing one is linear, and multiplies large ones by a number-theoretic
 transform. A request whose largest n is below that counts in ints, and
-decimal is not imported. Each request, one n or a range, is one pass
-(_printable_tables) in one arithmetic that carries (n-1)! from n to n + 1.
+decimal is not imported. Each request is that one pass in one arithmetic
+(_printable_tables).
 Every count is printed with str(); CountTable.to_text and to_json print an
 int table from _DECIMAL_FROM on through its Decimal recount.
 """
@@ -145,33 +148,25 @@ def count_table(n: int) -> CountTable:
     G(r) are added in one accumulator and subtracted from the first term
     once. (k-1)! is chained in ascending k, each step one
     math.perm(k-1, k-prev), the product prev * ... * (k-1), which CPython
-    forms as a balanced product in C; after the first n of a range, column
-    n takes (n-1)! carried from the n before (_printable_tables). Every k
-    and every phi(n/k) is read off one map of the totients of n's divisors,
-    built from one factorization of n. The counts are ints.
+    forms as a balanced product in C (_tables). Every k and every phi(n/k)
+    is read off one map of the totients of n's divisors, built from one
+    factorization of n. The counts are ints.
     """
-    return _tally(n, perm, int)[0]
+    return next(_tables(n, n, perm, int, nullcontext))
 
 
-def _tally(n: int, rising, num, top=None):
-    """(count_table(n), (n-1)!) in one arithmetic: rising(m, j) is the
-    product (m-j+1) * ... * m and num(q) the base q of a power, both as the
-    numbers the recursion runs on. top, when given, is (n-1)! in that
-    arithmetic, and column n takes it in place of chaining its own; either
-    way the (n-1)! that column n used is handed back."""
-    totients = _divisor_totients(n)
+def _tally(n: int, totients: dict, facts: dict, num) -> CountTable:
+    """count_table(n) in one arithmetic: totients maps each divisor of n to
+    its totient and facts each divisor k of n to (k-1)!, as the numbers the
+    recursion runs on, and num(q) makes the base q of a power one of them.
+    A remainder in a division raises InexactDivision."""
     ks = sorted(totients)
     gs = []
     cols = []
     total = 0
-    fact, prev = 1, 1
     for k in ks:
-        if k < n or top is None:
-            fact *= rising(k - 1, k - prev)
-            prev = k
-        else:
-            fact = top
-        phi = totients[n // k]
+        m = n // k
+        phi = totients[m]
         # gs holds G(r) for the divisors r before k; zip stops there. Those
         # of the proper divisors of k go into one accumulator, subtracted
         # once, so the large first term is not copied once per divisor
@@ -179,7 +174,7 @@ def _tally(n: int, rising, num, top=None):
         for r, gr in zip(ks, gs):
             if k % r == 0:
                 lower += gr
-        g = phi * num(n // k) ** (k - 1) * fact - lower
+        g = phi * num(m) ** (k - 1) * facts[k] - lower
         gs.append(g)
         h, rem = divmod(g, k * phi)
         if rem:
@@ -189,7 +184,45 @@ def _tally(n: int, rising, num, top=None):
         # tuple.__new__ skips the named tuple's __new__, a Python call
         cols.append(tuple.__new__(Column, (k, phi, h, product)))
         total += product
-    return tuple.__new__(CountTable, (n, tuple(cols), total)), fact
+    return tuple.__new__(CountTable, (n, tuple(cols), total))
+
+
+def _tables(n_from: int, n_to: int, rising, num, exact):
+    """count_table(n) for n = n_from..n_to in turn, in one arithmetic:
+    rising(m, j) is the product (m-j+1) * ... * m and num(q) the base q of
+    a power, both as the numbers the recursion runs on, and every product
+    is made in the context exact() enters.
+
+    Each n's divisors and their totients are read once, before the first
+    table, and every (k-1)! the range uses is made once: one ascending
+    chain runs through the divisors of all its n, each step one
+    rising(k-1, k-prev), and is carried on to n before n's table. So each
+    (n-1)! is the one before times n - 1, and a (k-1)! that several n share
+    is made once, then dropped after the last n it divides. For one n the
+    chain runs through its divisors alone, the work of the paper's
+    recursion for n. Each table is yielded outside the context."""
+    # from n_to down, so that each n's map is popped and dropped in turn
+    maps = [_divisor_totients(n) for n in range(n_to, n_from - 1, -1)]
+    steps = iter(sorted(set().union(*maps)))
+    facts, fact, prev = {}, 1, 1
+    for n in range(n_from, n_to + 1):
+        totients = maps.pop()
+        with exact():
+            # n is a step, so the chain stops there
+            for k in steps:
+                fact *= rising(k - 1, k - prev)
+                facts[k] = fact
+                prev = k
+                if k == n:
+                    break
+            table = _tally(n, totients, facts, num)
+        if n < n_to < 2 * n:
+            # a divisor k of n with n + k > n_to divides no later n; after
+            # the last n the pass ends and drops them all
+            for k in totients:
+                if n + k > n_to:
+                    del facts[k]
+        yield table
 
 
 # A request whose largest n is this or more counts every n in Decimals;
@@ -236,19 +269,9 @@ def _arithmetic(n_to: int):
 
 def _printable_tables(n_from: int, n_to: int):
     """count_table(n) for n = n_from..n_to in turn, as the CLI prints it:
-    in the one arithmetic _arithmetic(n_to) picks for the whole request.
-    The first n chains its own (n-1)!; every later n takes the one before
-    times n - 1, one multiplication in place of the range product that
-    chains column n. Each step, its carry included, runs in the
-    arithmetic's context, and each table is yielded outside it."""
-    rising, num, exact = _arithmetic(n_to)
-    top = None
-    for n in range(n_from, n_to + 1):
-        with exact():
-            if top is not None:
-                top *= n - 1
-            table, top = _tally(n, rising, num, top)
-        yield table
+    in the one arithmetic _arithmetic(n_to) picks for the whole request,
+    through the one range pass of _tables."""
+    return _tables(n_from, n_to, *_arithmetic(n_to))
 
 
 def q_count(n: int) -> int:

@@ -27,7 +27,7 @@ from cycleq.equation_solver import (
 )
 from cycleq.oracle import enumerate_classes
 from cycleq.permutation import one_line
-from cycleq.zn_ring import InexactDivision
+from cycleq.zn_ring import InexactDivision, prime_factors
 
 GOLDEN = [
     (2, 1), (3, 2), (4, 3), (5, 8), (6, 24), (7, 108), (8, 640),
@@ -876,6 +876,19 @@ def test_stdout_reader_quits():
     proc.stderr.close()
 
 
+def test_graph_reader_quits():
+    # the graph goes out a block at a time, so a reader that stops after
+    # the first line makes a later write fail, as for solve's rows; written
+    # as one string, the export reported success to a reader that had quit
+    proc = subprocess.Popen([sys.executable, "-m", "cycleq", "graph", "55440"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "digraph gamma_55440 {\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    assert proc.stderr.read() == "error: [Errno 32] Broken pipe\n"
+    proc.stderr.close()
+
+
 @pytest.mark.parametrize("argv", [["compute", "2"], ["solve", "5", "1", "2"],
                                   ["verify", "2", "3"]])
 def test_stdout_missing(capsys, monkeypatch, argv):
@@ -950,6 +963,57 @@ def test_solve_memory_stays_flat(capsys, monkeypatch, tmp_path):
         assert peak < ceiling, (argv, peak)
     assert sink.size == 7257613 + 29354792
     assert target.stat().st_size == 7257613
+
+
+class PieceSink:
+    """A stdout that keeps every piece written to it."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_graph_is_written_in_blocks(monkeypatch, fmt):
+    # Row 1 of the graph for 55440 has phi(55440) = 11520 sources, so it
+    # spans several blocks. The CLI writes the export a block at a time,
+    # each piece at most one block of the longest line any item of the
+    # graph can have (an arc item is one line per prime of n), and the
+    # pieces join to the library's export
+    n = 55440
+    export = {"dot": export_dot, "json": class_graph.export_json}[fmt](n)
+    if fmt == "dot":
+        export_text, lines = export, (f'    "{n},{n}" [label="<{n},{n}>"];\n',
+                                      f'    "{n},{n}" -> "{n},{n}";\n')
+    else:
+        export_text, lines = export + "\n", (f", [{n}, {n}]",
+                                             f", [[{n}, {n}], [{n}, {n}]]")
+    sink = PieceSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["graph", str(n), "-f", fmt]) == 0
+    assert "".join(sink.parts) == export_text
+    sizes = list(map(len, sink.parts))
+    assert len(sizes) > 2
+    block = class_graph._BLOCK * len(prime_factors(n)) * max(map(len, lines))
+    lead = len(f'{{"n": {n}, "vertices": [')
+    assert max(sizes) <= block + lead, (max(sizes), block)
+    # consuming the pieces holds far less than the output: the parent
+    # joined the whole export, and its label lists, before the first write
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["graph", str(n), "-f", fmt]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == len(export_text)
+    assert peak < len(export_text) / 3, (peak, len(export_text))
 
 
 def test_output_file_onto_directory(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+from contextlib import nullcontext
 from decimal import Decimal
 from math import factorial, prod
 
@@ -358,6 +359,29 @@ def test_the_range_pass_prints_what_each_table_does(monkeypatch, switch):
         assert {type(t.total) for t in tables} == {
             int if hi < switch else Decimal}
         assert tables == [one_table(n) for n in range(lo, hi + 1)], (lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 64), (33, 130), (300, 400),
+                                    (1250, 1300)])
+def test_the_range_pass_shares_each_factorial_once(lo, hi):
+    # the range pass makes every (k-1)! a range uses once and shares it
+    # between the n whose divisor k is: each of its tables is still
+    # count_table(n), exactly (Decimal == int is exact), including the
+    # ranges whose FROM cuts through what a later n shares, and the
+    # Decimal range past the switch
+    tables = list(counting._printable_tables(lo, hi))
+    assert [t.n for t in tables] == list(range(lo, hi + 1))
+    assert tables == [count_table(n) for n in range(lo, hi + 1)], (lo, hi)
+    # one rising product per distinct divisor of the range's n
+    steps = []
+
+    def rising(m, j):
+        steps.append(m + 1)
+        return factorial(m) // factorial(m - j)
+
+    list(counting._tables(lo, hi, rising, int, nullcontext))
+    assert sorted(steps) == sorted(
+        {k for n in range(lo, hi + 1) for k in divisors(n)})
 
 
 @pytest.mark.parametrize("lo, hi", [(1259, 1262), (1261, 1261), (1, 1),
